@@ -1,20 +1,20 @@
 //! Routing engine bench: exact point-to-point latency for Dijkstra,
-//! bidirectional Dijkstra, the contraction-hierarchy query and the
-//! customizable-hierarchy (CCH) query, plus CH preprocessing seq-vs-par
-//! scaling, CCH metric customization latency, and the bucket
-//! many-to-many kernel vs per-pair queries, written to
+//! bidirectional Dijkstra and the customizable-hierarchy (CCH) query,
+//! plus CCH build time, metric customization latency, and the bucket
+//! many-to-one kernel vs per-pair queries, written to
 //! `BENCH_routing.json`.
 //!
 //! Headline targets (all reflected in `within_target`):
-//! - ≥ 5× median point-to-point speedup for CH over bidirectional
-//!   Dijkstra on the largest default graph;
-//! - parallel CH preprocessing ≥ 3× over the sequential build on a
-//!   multicore host (on a single-core host the fork-join framing must
-//!   cost ≤ 10% instead — there is nothing to scale onto);
+//! - CCH build (order + skeleton + base customization) of the 200×200
+//!   city in ≤ 10 s — an absolute budget anchored to history, so a
+//!   slowdown of the build itself fails the gate;
 //! - CCH re-customization of the 200×200 metric in ≤ 250 ms, the bar
 //!   for millisecond-class traffic-shift response;
+//! - CCH point-to-point median within 1.5× of bidirectional Dijkstra on
+//!   every grid tier, so `--router cch` never makes a single cost miss
+//!   much dearer than the default router;
 //! - one bucket sweep beating the same 64-source batch issued as
-//!   individual point-to-point queries.
+//!   individual CCH-backed cache queries.
 //!
 //! Usage: `routing_bench [OUT.json]` (default: `BENCH_routing.json` at
 //! the workspace root). `MTSHARE_BENCH_RUNS` overrides the repetition
@@ -26,8 +26,7 @@ use mtshare_road::{
     grid_city, ring_radial_city, GridCityConfig, NodeId, RingRadialConfig, RoadNetwork,
 };
 use mtshare_routing::{
-    BidirDijkstra, ChBuckets, ChQuery, ContractionHierarchy, CustomizableCh, Dijkstra, PathCache,
-    RouterBackend,
+    BidirDijkstra, CchBuckets, CchQuery, CustomizableCh, Dijkstra, PathCache, RouterBackend,
 };
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -36,55 +35,41 @@ use std::time::Instant;
 
 const PAIRS: usize = 64;
 const MM_SOURCES: usize = 64;
-const WORKERS: usize = 4;
-const TARGET_SPEEDUP: f64 = 5.0;
-const TARGET_PAR_SPEEDUP: f64 = 3.0;
-/// Max fork-join overhead tolerated when there is only one core.
-const SINGLE_CORE_OVERHEAD: f64 = 1.10;
-/// The parallel-preprocess gate only binds when the sequential build
-/// takes at least this long: below it the measurement is dominated by
-/// per-round fork-join setup and timer noise, not contraction work.
-const PAR_GATE_MIN_SEQ_S: f64 = 0.5;
+/// Build budget for the 200×200 tier (measured 2.4–3.5 s on a 2-core
+/// host when the budget was set).
+const TARGET_BUILD_S: f64 = 10.0;
 /// Customization latency bar, applied to the 200×200 tier.
 const TARGET_CUSTOMIZE_MS: f64 = 250.0;
+/// Max CCH/bidirectional point-to-point median ratio on grid tiers.
+const TARGET_P2P_RATIO: f64 = 1.5;
 
 struct GraphReport {
     name: &'static str,
     nodes: usize,
-    preprocess_s: f64,
-    preprocess_par_s: f64,
-    shortcuts: u64,
+    build_s: f64,
     customize_ms: f64,
     fill_arcs: u64,
     dijkstra_us: f64,
     bidir_us: f64,
-    ch_us: f64,
     cch_us: f64,
-    /// Whether the customize bar applies to this tier.
-    gate_customize: bool,
+    /// Whether the p2p ratio bar applies (grid tiers only: on the tiny
+    /// ring-radial city both engines answer in a few µs, where the
+    /// ratio is timer noise).
+    gate_ratio: bool,
+    /// Whether the build and customize budgets apply (200×200 tier).
+    gate_budgets: bool,
 }
 
 impl GraphReport {
-    fn speedup(&self) -> f64 {
-        self.bidir_us / self.ch_us
+    fn p2p_ratio(&self) -> f64 {
+        self.cch_us / self.bidir_us
     }
 
-    fn par_speedup(&self) -> f64 {
-        self.preprocess_s / self.preprocess_par_s
-    }
-
-    /// Per-tier gate: preprocessing must scale (or at least not regress)
-    /// and — where the bar applies — customization must be fast enough.
-    fn within_target(&self, multicore: bool) -> bool {
-        let par_ok = if self.preprocess_s < PAR_GATE_MIN_SEQ_S {
-            true // too little contraction work for the ratio to mean anything
-        } else if multicore {
-            self.par_speedup() >= TARGET_PAR_SPEEDUP
-        } else {
-            self.preprocess_par_s <= self.preprocess_s * SINGLE_CORE_OVERHEAD
-        };
-        let customize_ok = !self.gate_customize || self.customize_ms <= TARGET_CUSTOMIZE_MS;
-        par_ok && customize_ok
+    fn within_target(&self) -> bool {
+        let ratio_ok = !self.gate_ratio || self.p2p_ratio() <= TARGET_P2P_RATIO;
+        let budgets_ok = !self.gate_budgets
+            || (self.build_s <= TARGET_BUILD_S && self.customize_ms <= TARGET_CUSTOMIZE_MS);
+        ratio_ok && budgets_ok
     }
 }
 
@@ -107,93 +92,77 @@ fn main() {
     let ring = Arc::new(ring_radial_city(&RingRadialConfig::default()).unwrap());
 
     let mut reports = vec![
-        bench_graph("ring_radial", &ring, runs, false).0,
-        bench_graph("grid_60x60", &medium, runs, false).0,
-        bench_graph("grid_100x100", &chengdu, runs, false).0,
+        bench_graph("ring_radial", &ring, runs, false, false).0,
+        bench_graph("grid_60x60", &medium, runs, true, false).0,
+        bench_graph("grid_100x100", &chengdu, runs, true, false).0,
     ];
-    let (r_large, ch_large) = bench_graph("grid_200x200", &large, runs, true);
-    let large_speedup = r_large.speedup();
+    let (r_large, cch_large) = bench_graph("grid_200x200", &large, runs, true, true);
     reports.push(r_large);
     if scale {
         let huge = Arc::new(grid_city(&GridCityConfig::huge()).unwrap());
-        reports.push(bench_graph("grid_400x400", &huge, runs, false).0);
+        reports.push(bench_graph("grid_400x400", &huge, runs, true, false).0);
     }
-    let (bucket_ms, per_pair_ms) = bench_many_to_many(&large, ch_large, runs);
+    let (bucket_ms, per_pair_ms) = bench_many_to_many(&large, cch_large, runs);
     let mm_speedup = per_pair_ms / bucket_ms;
 
-    let within_target = large_speedup >= TARGET_SPEEDUP
-        && mm_speedup > 1.0
-        && reports.iter().all(|r| r.within_target(multicore));
+    let within_target = mm_speedup > 1.0 && reports.iter().all(GraphReport::within_target);
 
     let mut json = String::new();
-    json.push_str(r#"{"schema":"mtshare-bench-routing/v2","graphs":["#);
+    json.push_str(r#"{"schema":"mtshare-bench-routing/v3","graphs":["#);
     for (i, r) in reports.iter().enumerate() {
         if i > 0 {
             json.push(',');
         }
         let _ = write!(
             json,
-            r#"{{"name":"{}","nodes":{},"preprocess_s":{:.3},"preprocess_par_s":{:.3},"par_workers":{WORKERS},"par_speedup":{:.2},"shortcuts":{},"customize_ms":{:.3},"cch_fill_arcs":{},"p2p_median_us":{{"dijkstra":{:.2},"bidirectional":{:.2},"ch":{:.2},"cch":{:.2}}},"ch_speedup_vs_bidir":{:.2},"within_target":{}}}"#,
+            r#"{{"name":"{}","nodes":{},"cch_build_s":{:.3},"customize_ms":{:.3},"cch_fill_arcs":{},"p2p_median_us":{{"dijkstra":{:.2},"bidirectional":{:.2},"cch":{:.2}}},"cch_vs_bidir":{:.2},"within_target":{}}}"#,
             r.name,
             r.nodes,
-            r.preprocess_s,
-            r.preprocess_par_s,
-            r.par_speedup(),
-            r.shortcuts,
+            r.build_s,
             r.customize_ms,
             r.fill_arcs,
             r.dijkstra_us,
             r.bidir_us,
-            r.ch_us,
             r.cch_us,
-            r.speedup(),
-            r.within_target(multicore),
+            r.p2p_ratio(),
+            r.within_target(),
         );
     }
     let _ = write!(
         json,
-        r#"],"many_to_many":{{"sources":{MM_SOURCES},"targets":1,"bucket_sweep_ms":{bucket_ms:.3},"per_pair_cached_ms":{per_pair_ms:.3},"speedup":{mm_speedup:.2}}},"target_speedup":{TARGET_SPEEDUP},"target_par_speedup":{TARGET_PAR_SPEEDUP},"target_customize_ms":{TARGET_CUSTOMIZE_MS},"multicore":{multicore},"within_target":{within_target}}}"#,
+        r#"],"many_to_many":{{"sources":{MM_SOURCES},"targets":1,"bucket_sweep_ms":{bucket_ms:.3},"per_pair_cached_ms":{per_pair_ms:.3},"speedup":{mm_speedup:.2}}},"target_build_s":{TARGET_BUILD_S},"target_customize_ms":{TARGET_CUSTOMIZE_MS},"target_p2p_ratio":{TARGET_P2P_RATIO},"multicore":{multicore},"within_target":{within_target}}}"#,
     );
     json.push('\n');
     std::fs::write(&out_path, &json).expect("write bench output");
-    eprintln!(
-        "[routing_bench] large-graph CH speedup {large_speedup:.1}× vs bidirectional \
-         (target ≥{TARGET_SPEEDUP}×), many-to-many {mm_speedup:.1}×"
-    );
+    eprintln!("[routing_bench] many-to-many {mm_speedup:.2}× over per-pair CCH queries");
     eprintln!("[routing_bench] wrote {out_path}");
     if !within_target {
         eprintln!("[routing_bench] WARNING: below target");
     }
 }
 
-/// Median per-query latency (µs) for each engine over the same random
-/// pairs; best-of-`runs` medians are reported so scheduler noise only
-/// helps, never hurts, the comparison. Preprocessing is built twice —
-/// sequentially and with `WORKERS` workers — and the two artifacts are
-/// asserted byte-identical, so the scaling numbers always describe the
-/// same output.
+/// Build and customization times (best of `runs`) and median per-query
+/// latency (µs) for each engine over the same random pairs; best-of-
+/// `runs` medians are reported so scheduler noise only helps, never
+/// hurts, the comparison.
 fn bench_graph(
     name: &'static str,
     graph: &Arc<RoadNetwork>,
     runs: usize,
-    gate_customize: bool,
-) -> (GraphReport, Arc<ContractionHierarchy>) {
+    gate_ratio: bool,
+    gate_budgets: bool,
+) -> (GraphReport, Arc<CustomizableCh>) {
     let pairs = random_pairs(graph.node_count(), PAIRS, 1);
 
-    let t0 = Instant::now();
-    let ch_seq = ContractionHierarchy::build(graph, 1);
-    let preprocess_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let ch = Arc::new(ContractionHierarchy::build(graph, WORKERS));
-    let preprocess_par_s = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        ch_seq.artifact_digest(),
-        ch.artifact_digest(),
-        "{name}: parallel build must be byte-identical to sequential"
-    );
-    let shortcuts = ch.shortcut_count();
-
-    let cch = Arc::new(CustomizableCh::build(graph));
+    let mut build_s = f64::INFINITY;
+    let mut built = None;
+    for _ in 0..runs {
+        let t0 = Instant::now();
+        let cch = CustomizableCh::build(graph);
+        build_s = build_s.min(t0.elapsed().as_secs_f64());
+        built = Some(cch);
+    }
+    let cch = Arc::new(built.expect("runs >= 1"));
     let fill_arcs = cch.fill_arc_count();
     // Re-customization latency: the chaos-recovery path rebuilds the
     // whole metric from the (possibly traffic-shifted) graph.
@@ -212,13 +181,9 @@ fn bench_graph(
     let bidir_us = best_median(runs, &pairs, |(s, t)| {
         let _ = bi.cost(graph, s, t);
     });
-    let mut q = ChQuery::new(ch.clone());
-    let ch_us = best_median(runs, &pairs, |(s, t)| {
-        let _ = q.cost(s, t);
-    });
-    let mut cq = mtshare_routing::CchQuery::new(cch.clone());
+    let mut q = CchQuery::new(cch.clone());
     let cch_us = best_median(runs, &pairs, |(s, t)| {
-        let _ = cq.cost(s, t);
+        let _ = q.cost(s, t);
     });
     let settled: usize = pairs
         .iter()
@@ -230,37 +195,32 @@ fn bench_graph(
         / pairs.len();
 
     eprintln!(
-        "[routing_bench] {name}: preprocess seq {preprocess_s:.2}s / par {preprocess_par_s:.2}s \
-         ({shortcuts} shortcuts), customize {customize_ms:.1}ms ({fill_arcs} fill arcs), \
-         p2p median dijkstra {dijkstra_us:.1}µs / bidir {bidir_us:.1}µs / ch {ch_us:.1}µs / \
+        "[routing_bench] {name}: cch build {build_s:.2}s ({fill_arcs} fill arcs), customize \
+         {customize_ms:.1}ms, p2p median dijkstra {dijkstra_us:.1}µs / bidir {bidir_us:.1}µs / \
          cch {cch_us:.1}µs (~{settled} settled)"
     );
     let report = GraphReport {
         name,
         nodes: graph.node_count(),
-        preprocess_s,
-        preprocess_par_s,
-        shortcuts,
+        build_s,
         customize_ms,
         fill_arcs,
         dijkstra_us,
         bidir_us,
-        ch_us,
         cch_us,
-        gate_customize,
+        gate_ratio,
+        gate_budgets,
     };
-    (report, ch)
+    (report, cch)
 }
 
 /// One bucket sweep answering `MM_SOURCES` → 1 target, vs the same batch
-/// issued as individual CH-backed cache queries (ms). Both arms share
+/// issued as individual CCH-backed cache queries (ms). Both arms share
 /// the warm hierarchy and run one untimed warm-up pass, so the
-/// comparison is sweep-vs-queries — not first-touch allocation noise
-/// (the v1 bench's per-pair arm paid cold bidirectional-Dijkstra misses,
-/// overstating the bucket win).
+/// comparison is sweep-vs-queries — not first-touch allocation noise.
 fn bench_many_to_many(
     graph: &Arc<RoadNetwork>,
-    ch: Arc<ContractionHierarchy>,
+    cch: Arc<CustomizableCh>,
     runs: usize,
 ) -> (f64, f64) {
     let mut rng = SmallRng::seed_from_u64(7);
@@ -268,7 +228,7 @@ fn bench_many_to_many(
     let sources: Vec<NodeId> = (0..MM_SOURCES).map(|_| NodeId(rng.gen_range(0..n))).collect();
     let target = NodeId(rng.gen_range(0..n));
 
-    let mut buckets = ChBuckets::new(ch.clone());
+    let mut buckets = CchBuckets::new(cch.clone());
     let _ = buckets.many_to_one(&sources, target); // warm-up, untimed
     let mut bucket_ms = f64::INFINITY;
     for _ in 0..runs {
@@ -278,7 +238,7 @@ fn bench_many_to_many(
         bucket_ms = bucket_ms.min(t0.elapsed().as_secs_f64() * 1e3);
     }
 
-    let make_cache = || PathCache::with_backend(graph.clone(), RouterBackend::Ch(ch.clone()));
+    let make_cache = || PathCache::with_backend(graph.clone(), RouterBackend::Cch(cch.clone()));
     let warm = make_cache(); // warm-up, untimed
     for &s in &sources {
         let _ = warm.cost(s, target);

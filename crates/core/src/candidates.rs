@@ -9,8 +9,8 @@
 //! Selection itself uses only O(1) landmark estimates; the *exact*
 //! candidate-position → pickup costs the downstream scheduling pass needs
 //! are batch-primed into the shared [`mtshare_routing::PathCache`] via the
-//! contraction-hierarchy bucket kernel (see `scheduling::schedule_best`)
-//! when the `ch` router is selected.
+//! customizable-hierarchy bucket kernel (see `scheduling::schedule_best`)
+//! when the `cch` router is selected.
 
 use crate::config::MtShareConfig;
 use crate::context::MobilityContext;

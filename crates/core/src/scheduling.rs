@@ -62,7 +62,7 @@ pub fn schedule_best(
     engine: &dyn ScheduleEngine,
     router: &mut SegmentRouter,
 ) -> (Option<Assignment>, usize, usize) {
-    // Under the CH backend, batch every candidate's position→pickup cost
+    // Under the CCH backend, batch every candidate's position→pickup cost
     // through the bucket many-to-one kernel so the materialization
     // probes below hit a primed memo (one downward sweep instead of one
     // search per candidate). The installed values are bit-identical to

@@ -134,9 +134,10 @@ impl MtShare {
     /// (`∞` when no deadline-feasible instance exists). Pure with respect
     /// to `(req, now, world)` — no scratch state survives the call — so
     /// rows computed by parallel workers and by the sequential fallback
-    /// are bit-identical. Taxi→pickup costs are primed through the CH
-    /// bucket many-to-one kernel so the per-candidate DP probes (and the
-    /// winner's later materialization) hit a warm memo.
+    /// are bit-identical. Under `--router cch`, taxi→pickup costs are
+    /// primed through the CCH bucket many-to-one kernel so the
+    /// per-candidate DP probes (and the winner's later materialization)
+    /// hit a warm memo.
     fn score_row(&self, req: &RideRequest, now: Time, world: &World<'_>) -> WindowRow {
         let candidates = {
             let _span = self.obs.stage(Stage::CandidateSearch);

@@ -2,25 +2,26 @@
 //!
 //! Vertices are partition landmarks; two landmarks are connected when their
 //! partitions are adjacent (some road edge crosses between them). Exact
-//! landmark↔landmark and landmark↔vertex travel costs come from a dense
-//! [`CostMatrix`], which is what lets partition filtering (Alg. 2) estimate
+//! landmark↔landmark and landmark↔vertex travel costs come from dense
+//! tables — one forward and one backward one-to-all Dijkstra per
+//! landmark — which is what lets partition filtering (Alg. 2) estimate
 //! shortest-path lengths without touching the full graph.
 
 use crate::partition::{MapPartitioning, PartitionId};
 use mtshare_road::{NodeId, RoadNetwork};
-use mtshare_routing::CostMatrix;
+use mtshare_routing::Dijkstra;
 use rustc_hash::FxHashSet;
 
 /// Landmark graph with precomputed cost tables.
 #[derive(Debug, Clone)]
 pub struct LandmarkGraph {
     adjacency: Vec<Vec<PartitionId>>,
-    costs: CostMatrix,
+    /// `from_rows[p][v]` = cost from partition `p`'s landmark to vertex
+    /// `v` (`f32::INFINITY` when unreachable).
+    from_rows: Vec<Vec<f32>>,
+    /// `to_rows[p][v]` = cost from vertex `v` to partition `p`'s landmark.
+    to_rows: Vec<Vec<f32>>,
     landmark_of: Vec<NodeId>,
-    /// Matrix row of each partition's landmark. [`CostMatrix::compute`]
-    /// collapses duplicate sources to one row, so when two partitions
-    /// share a landmark vertex they share a row.
-    row_of: Vec<u32>,
 }
 
 impl LandmarkGraph {
@@ -47,12 +48,18 @@ impl LandmarkGraph {
             })
             .collect();
         let landmark_of = partitioning.landmarks().to_vec();
-        let costs = CostMatrix::compute(graph, &landmark_of);
-        let row_of = landmark_of
-            .iter()
-            .map(|&s| costs.source_index(s).expect("every landmark has a row") as u32)
-            .collect();
-        Self { adjacency, costs, landmark_of, row_of }
+        // Landmarks are members of disjoint partitions, hence distinct:
+        // one row pair per partition.
+        let mut engine = Dijkstra::new(graph);
+        let (mut from_rows, mut to_rows) = (Vec::with_capacity(k), Vec::with_capacity(k));
+        for &l in &landmark_of {
+            let (mut fwd, mut bwd) = (Vec::new(), Vec::new());
+            engine.one_to_all(graph, l, &mut fwd);
+            engine.all_to_one(graph, l, &mut bwd);
+            from_rows.push(fwd);
+            to_rows.push(bwd);
+        }
+        Self { adjacency, from_rows, to_rows, landmark_of }
     }
 
     /// Number of partitions / landmarks.
@@ -82,25 +89,25 @@ impl LandmarkGraph {
     /// Travel cost between the landmarks of two partitions, seconds.
     #[inline]
     pub fn cost_between(&self, from: PartitionId, to: PartitionId) -> f32 {
-        self.costs.cost_from_idx(self.row_of[from.index()] as usize, self.landmark_of[to.index()])
+        self.cost_from_landmark(from, self.landmark_of[to.index()])
     }
 
     /// Travel cost from partition `p`'s landmark to any vertex.
     #[inline]
     pub fn cost_from_landmark(&self, p: PartitionId, v: NodeId) -> f32 {
-        self.costs.cost_from_idx(self.row_of[p.index()] as usize, v)
+        self.from_rows[p.index()][v.index()]
     }
 
     /// Travel cost from any vertex to partition `p`'s landmark.
     #[inline]
     pub fn cost_to_landmark(&self, v: NodeId, p: PartitionId) -> f32 {
-        self.costs.cost_to_idx(v, self.row_of[p.index()] as usize)
+        self.to_rows[p.index()][v.index()]
     }
 
     /// Approximate resident memory in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.adjacency.iter().map(|a| a.len() * 2).sum::<usize>()
-            + self.costs.memory_bytes()
+            + self.from_rows.iter().chain(&self.to_rows).map(|r| r.len() * 4).sum::<usize>()
             + self.landmark_of.len() * 8
     }
 }
@@ -110,7 +117,6 @@ mod tests {
     use super::*;
     use crate::grid_partition::grid_partition;
     use mtshare_road::{grid_city, GridCityConfig};
-    use mtshare_routing::Dijkstra;
 
     fn setup() -> (RoadNetwork, MapPartitioning, LandmarkGraph) {
         let g = grid_city(&GridCityConfig::tiny()).unwrap();

@@ -64,7 +64,9 @@ const MAX_WORKERS: usize = 64;
 /// v9: `profiling.stages` gained the `customize` span and `profiling`
 /// gained a `cch` block (customizable-hierarchy query/customization
 /// counters; all zero unless `--router cch`).
-pub const SUMMARY_SCHEMA: &str = "mtshare-obs-summary/v9";
+/// v10: the plain contraction-hierarchy router is gone, and with it the
+/// `profiling.ch` block.
+pub const SUMMARY_SCHEMA: &str = "mtshare-obs-summary/v10";
 
 /// Static facts about the run, reported verbatim in the summary.
 #[derive(Debug, Clone, Default)]
@@ -103,15 +105,6 @@ pub struct ExternalStats {
     pub oracle_pin_computes: u64,
     /// Hot-node vectors freed (refcount reached zero).
     pub oracle_evictions: u64,
-    /// Contraction-hierarchy point-to-point queries (0 under the
-    /// bidirectional router).
-    pub ch_p2p_queries: u64,
-    /// Bucket many-to-one sweeps.
-    pub ch_bucket_sweeps: u64,
-    /// Total sources across all bucket sweeps.
-    pub ch_bucket_sources: u64,
-    /// Shortcut edges in the loaded/built hierarchy.
-    pub ch_shortcuts: u64,
     /// Customizable-hierarchy point-to-point queries (0 unless
     /// `--router cch`).
     pub cch_p2p_queries: u64,
@@ -729,11 +722,6 @@ impl Obs {
             ext.oracle_pin_computes,
             ext.oracle_evictions,
             json::fmt_f64(oracle_ratio)
-        );
-        let _ = write!(
-            s,
-            r#""ch":{{"p2p_queries":{},"bucket_sweeps":{},"bucket_sources":{},"shortcuts":{}}},"#,
-            ext.ch_p2p_queries, ext.ch_bucket_sweeps, ext.ch_bucket_sources, ext.ch_shortcuts
         );
         let _ = write!(
             s,

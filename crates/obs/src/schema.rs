@@ -313,10 +313,6 @@ pub fn validate_summary(text: &str) -> Result<(), String> {
     for f in ["vector_hits", "memo_hits", "searches", "pin_computes", "evictions", "hit_ratio"] {
         require_num(oracle, "oracle", f)?;
     }
-    let ch = prof.get("ch").ok_or("profiling: missing \"ch\"")?;
-    for f in ["p2p_queries", "bucket_sweeps", "bucket_sources", "shortcuts"] {
-        require_num(ch, "ch", f)?;
-    }
     let cch = prof.get("cch").ok_or("profiling: missing \"cch\"")?;
     for f in ["p2p_queries", "bucket_sweeps", "bucket_sources", "customizations", "fill_arcs"] {
         require_num(cch, "cch", f)?;

@@ -15,8 +15,8 @@ pub enum Stage {
     Routing,
     /// Sequential commit (validation + plan install).
     Commit,
-    /// One-off contraction-hierarchy preprocessing (build or artifact
-    /// load) before the simulation starts.
+    /// One-off customizable-hierarchy preprocessing (build or artifact
+    /// load, `--router cch`) before the simulation starts.
     PreprocessCh,
     /// Kuhn–Munkres assignment solve over a batch window's cost matrix.
     BatchSolve,

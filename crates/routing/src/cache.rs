@@ -19,18 +19,16 @@
 //! # Pluggable exact backend
 //!
 //! Cost misses are answered by a [`RouterBackend`]: plain bidirectional
-//! Dijkstra (the default), a preprocessed [`ContractionHierarchy`], or a
-//! [`CustomizableCh`]. All are exact, and because edge costs live on the
-//! dyadic grid (`mtshare_road::COST_QUANTUM_S`) they return
-//! *bit-identical* values, so switching backends can never change
-//! simulator behaviour — only speed. Under the CH/CCH backends,
-//! [`PathCache::prime_many_to_one`] additionally batches "K taxi
-//! positions → one pickup" probes through a bucket kernel
-//! ([`ChBuckets`] / [`CchBuckets`]) — one downward sweep instead of K
-//! searches.
+//! Dijkstra (the default) or a [`CustomizableCh`]. Both are exact, and
+//! because edge costs live on the dyadic grid
+//! (`mtshare_road::COST_QUANTUM_S`) they return *bit-identical* values,
+//! so switching backends can never change simulator behaviour — only
+//! speed. Under the CCH backend, [`PathCache::prime_many_to_one`]
+//! additionally batches "K taxi positions → one pickup" probes through
+//! the [`CchBuckets`] kernel — one downward sweep instead of K searches.
 //!
 //! Paths always come from bidirectional Dijkstra, regardless of backend:
-//! when several shortest paths tie, CH unpacking and bidirectional search
+//! when several shortest paths tie, a hierarchy and bidirectional search
 //! can legitimately pick different (equal-cost) vertex sequences, and a
 //! different committed route would change taxi trajectories and therefore
 //! trace bytes. Costs are the hot query mix; paths are only materialized
@@ -38,17 +36,14 @@
 //!
 //! # Re-customization
 //!
-//! A regional traffic shift changes the metric mid-run. The bidir and
-//! CCH backends support [`PathCache::recustomize`]: swap in the shifted
-//! graph (re-customizing the CCH metric in milliseconds), clear the memo,
-//! and every subsequent answer — cost, prime, or path — is exact on the
-//! *shifted* graph. The plain-CH backend cannot (its order and shortcut
-//! weights bake in the metric); callers gate on
-//! [`PathCache::is_recustomizable`].
+//! A regional traffic shift changes the metric mid-run. Both backends
+//! support [`PathCache::recustomize`]: swap in the shifted graph
+//! (re-customizing the CCH metric in milliseconds), clear the memo, and
+//! every subsequent answer — cost, prime, or path — is exact on the
+//! *shifted* graph.
 
 use crate::bidirectional::BidirDijkstra;
 use crate::cch::{CchBuckets, CchQuery, CchStats, CustomizableCh};
-use crate::ch::{ChBuckets, ChQuery, ChStats, ContractionHierarchy};
 use crate::path::Path;
 use mtshare_road::{NodeId, RoadNetwork};
 use parking_lot::{Mutex, RwLock};
@@ -62,9 +57,6 @@ pub enum RouterBackend {
     /// Bidirectional Dijkstra, no preprocessing (the seed behaviour).
     #[default]
     Bidir,
-    /// Preprocessed contraction hierarchy (must be built from — or loaded
-    /// against — the same [`RoadNetwork`] the cache serves).
-    Ch(Arc<ContractionHierarchy>),
     /// Customizable contraction hierarchy (skeleton built from the same
     /// [`RoadNetwork`] the cache serves; metric re-customizable at run
     /// time via [`PathCache::recustomize`]).
@@ -76,17 +68,9 @@ impl RouterBackend {
     pub fn name(&self) -> &'static str {
         match self {
             RouterBackend::Bidir => "bidir",
-            RouterBackend::Ch(_) => "ch",
             RouterBackend::Cch(_) => "cch",
         }
     }
-}
-
-/// The shared bucket many-to-one kernel of the active backend.
-#[derive(Debug)]
-enum BucketKernel {
-    Ch(ChBuckets),
-    Cch(CchBuckets),
 }
 
 /// Number of lock stripes. Power of two so the shard pick is a mask; 16
@@ -121,8 +105,6 @@ impl CacheStats {
 struct CacheShard {
     costs: FxHashMap<u64, f32>,
     engine: BidirDijkstra,
-    /// CH query scratch when the backend is [`RouterBackend::Ch`].
-    ch: Option<ChQuery>,
     /// CCH query scratch when the backend is [`RouterBackend::Cch`].
     cch: Option<CchQuery>,
     stats: CacheStats,
@@ -142,9 +124,8 @@ pub struct PathCache {
     /// [`PathCache::recustomize`]; readers snapshot the `Arc`.
     live: Arc<RwLock<Arc<RoadNetwork>>>,
     shards: Arc<[Mutex<CacheShard>; SHARDS]>,
-    hierarchy: Option<Arc<ContractionHierarchy>>,
     cch: Option<Arc<CustomizableCh>>,
-    buckets: Option<Arc<Mutex<BucketKernel>>>,
+    buckets: Option<Arc<Mutex<CchBuckets>>>,
 }
 
 impl PathCache {
@@ -156,16 +137,8 @@ impl PathCache {
 
     /// Creates an empty cache over `graph` answering misses with `backend`.
     pub fn with_backend(graph: Arc<RoadNetwork>, backend: RouterBackend) -> Self {
-        let (hierarchy, cch) = match &backend {
-            RouterBackend::Bidir => (None, None),
-            RouterBackend::Ch(ch) => {
-                assert_eq!(
-                    ch.graph_digest(),
-                    graph.digest(),
-                    "contraction hierarchy was built for a different graph"
-                );
-                (Some(ch.clone()), None)
-            }
+        let cch = match &backend {
+            RouterBackend::Bidir => None,
             RouterBackend::Cch(cch) => {
                 assert_eq!(
                     cch.graph_digest(),
@@ -177,48 +150,28 @@ impl PathCache {
                     graph.digest(),
                     "customizable hierarchy carries a metric for a different graph"
                 );
-                (None, Some(cch.clone()))
+                Some(cch.clone())
             }
         };
         let shards = std::array::from_fn(|_| {
             Mutex::new(CacheShard {
                 costs: FxHashMap::default(),
                 engine: BidirDijkstra::new(&graph),
-                ch: hierarchy.as_ref().map(|h| ChQuery::new(h.clone())),
                 cch: cch.as_ref().map(|h| CchQuery::new(h.clone())),
                 stats: CacheStats::default(),
             })
         });
-        let buckets = match (&hierarchy, &cch) {
-            (Some(h), _) => Some(Arc::new(Mutex::new(BucketKernel::Ch(ChBuckets::new(h.clone()))))),
-            (_, Some(h)) => {
-                Some(Arc::new(Mutex::new(BucketKernel::Cch(CchBuckets::new(h.clone())))))
-            }
-            _ => None,
-        };
-        Self {
-            live: Arc::new(RwLock::new(graph)),
-            shards: Arc::new(shards),
-            hierarchy,
-            cch,
-            buckets,
-        }
+        let buckets = cch.as_ref().map(|h| Arc::new(Mutex::new(CchBuckets::new(h.clone()))));
+        Self { live: Arc::new(RwLock::new(graph)), shards: Arc::new(shards), cch, buckets }
     }
 
-    /// Name of the active backend (`"bidir"`, `"ch"`, or `"cch"`).
+    /// Name of the active backend (`"bidir"` or `"cch"`).
     pub fn backend_name(&self) -> &'static str {
-        if self.hierarchy.is_some() {
-            "ch"
-        } else if self.cch.is_some() {
+        if self.cch.is_some() {
             "cch"
         } else {
             "bidir"
         }
-    }
-
-    /// The shared hierarchy when the backend is [`RouterBackend::Ch`].
-    pub fn hierarchy(&self) -> Option<&Arc<ContractionHierarchy>> {
-        self.hierarchy.as_ref()
     }
 
     /// The shared hierarchy when the backend is [`RouterBackend::Cch`].
@@ -226,21 +179,10 @@ impl PathCache {
         self.cch.as_ref()
     }
 
-    /// CH query/bucket counters, when the backend is [`RouterBackend::Ch`].
-    pub fn ch_stats(&self) -> Option<ChStats> {
-        self.hierarchy.as_ref().map(|h| h.stats())
-    }
-
     /// CCH query/customization counters, when the backend is
     /// [`RouterBackend::Cch`].
     pub fn cch_stats(&self) -> Option<CchStats> {
         self.cch.as_ref().map(|h| h.stats())
-    }
-
-    /// Whether [`PathCache::recustomize`] is supported (every backend
-    /// except plain CH, whose order and weights bake in the metric).
-    pub fn is_recustomizable(&self) -> bool {
-        self.hierarchy.is_none()
     }
 
     /// Swaps the metric: all subsequent answers are exact on `graph`
@@ -255,14 +197,8 @@ impl PathCache {
     /// this naturally: shifts apply between events).
     ///
     /// # Panics
-    /// Panics under the plain-CH backend (gate on
-    /// [`PathCache::is_recustomizable`]) or when `graph` has a different
-    /// vertex count.
+    /// Panics when `graph` has a different vertex count.
     pub fn recustomize(&self, graph: Arc<RoadNetwork>) -> Option<u64> {
-        assert!(
-            self.is_recustomizable(),
-            "plain-ch backend cannot re-customize; rebuild the hierarchy instead"
-        );
         assert_eq!(
             graph.node_count(),
             self.live.read().node_count(),
@@ -309,9 +245,7 @@ impl PathCache {
             return c.is_finite().then_some(c as f64);
         }
         shard.stats.misses += 1;
-        let cost = if let Some(q) = shard.ch.as_mut() {
-            q.cost(a, b)
-        } else if let Some(q) = shard.cch.as_mut() {
+        let cost = if let Some(q) = shard.cch.as_mut() {
             q.cost(a, b)
         } else {
             let graph = self.live.read().clone();
@@ -347,10 +281,7 @@ impl PathCache {
         if missing.is_empty() {
             return 0;
         }
-        let costs = match &mut *buckets.lock() {
-            BucketKernel::Ch(b) => b.many_to_one(&missing, target),
-            BucketKernel::Cch(b) => b.many_to_one(&missing, target),
-        };
+        let costs = buckets.lock().many_to_one(&missing, target);
         for (&s, c) in missing.iter().zip(&costs) {
             let mut shard = self.shard(s).lock();
             if let Entry::Vacant(slot) = shard.costs.entry(Self::key(s, target)) {
@@ -532,63 +463,40 @@ mod tests {
     }
 
     #[test]
-    fn ch_backend_returns_bit_identical_costs_and_primes_the_memo() {
-        let g = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
-        let ch = Arc::new(crate::ch::ContractionHierarchy::build(&g, 2));
-        let bidir = PathCache::new(g.clone());
-        let cached = PathCache::with_backend(g.clone(), RouterBackend::Ch(ch));
-        assert_eq!(bidir.backend_name(), "bidir");
-        assert_eq!(cached.backend_name(), "ch");
-        assert!(cached.hierarchy().is_some());
-
-        // Bucket priming installs exactly the values per-pair queries find.
-        let sources: Vec<NodeId> = (0..32).map(|i| NodeId(i * 7 % 400)).collect();
-        let target = NodeId(399);
-        let computed = cached.prime_many_to_one(&sources, target);
-        assert!(computed > 0);
-        // `bidir` never primes: the bucket kernel needs a hierarchy.
-        assert_eq!(bidir.prime_many_to_one(&sources, target), 0);
-        for &s in &sources {
-            assert_eq!(cached.cost(s, target), bidir.cost(s, target), "{s}");
-        }
-        // Every probe above hit the primed memo (sources are distinct and
-        // none equals the target, so all 32 were bucket-computed).
-        assert_eq!(computed, sources.len());
-        let st = cached.stats();
-        assert_eq!(st.hits as usize, sources.len());
-        let ch_stats = cached.ch_stats().unwrap();
-        assert_eq!(ch_stats.bucket_sweeps, 1);
-        // Re-priming the same batch computes nothing new.
-        assert_eq!(cached.prime_many_to_one(&sources, target), 0);
-        assert_eq!(cached.ch_stats().unwrap().bucket_sweeps, 1);
-
-        // Plain cost misses route through the CH query path.
-        assert_eq!(cached.cost(NodeId(1), NodeId(398)), bidir.cost(NodeId(1), NodeId(398)));
-        assert!(cached.ch_stats().unwrap().p2p_queries > 0);
-        // Paths still come from the canonical bidirectional engine.
-        assert_eq!(cached.path(NodeId(1), NodeId(398)), bidir.path(NodeId(1), NodeId(398)));
-    }
-
-    #[test]
     fn cch_backend_matches_bidir_and_recustomizes() {
         use mtshare_road::{apply_traffic_shifts, TrafficShiftSpec};
         let g = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
         let cch = Arc::new(crate::cch::CustomizableCh::build(&g));
         let cached = PathCache::with_backend(g.clone(), RouterBackend::Cch(cch));
         let bidir = PathCache::new(g.clone());
+        assert_eq!(bidir.backend_name(), "bidir");
         assert_eq!(cached.backend_name(), "cch");
         assert!(cached.customizable().is_some());
-        assert!(cached.is_recustomizable() && bidir.is_recustomizable());
-        assert!(cached.ch_stats().is_none());
+        assert!(bidir.cch_stats().is_none());
 
+        // Bucket priming installs exactly the values per-pair queries find.
         let sources: Vec<NodeId> = (0..24).map(|i| NodeId(i * 13 % 400)).collect();
         let target = NodeId(397);
-        assert!(cached.prime_many_to_one(&sources, target) > 0);
+        let computed = cached.prime_many_to_one(&sources, target);
+        // `bidir` never primes: the bucket kernel needs a hierarchy.
+        assert_eq!(bidir.prime_many_to_one(&sources, target), 0);
         for &s in &sources {
             assert_eq!(cached.cost(s, target), bidir.cost(s, target), "{s}");
         }
+        // Every probe above hit the primed memo (sources are distinct and
+        // none equals the target, so all were bucket-computed).
+        assert_eq!(computed, sources.len());
+        assert_eq!(cached.stats().hits as usize, sources.len());
+        assert_eq!(cached.cch_stats().unwrap().bucket_sweeps, 1);
+        // Re-priming the same batch computes nothing new.
+        assert_eq!(cached.prime_many_to_one(&sources, target), 0);
+        assert_eq!(cached.cch_stats().unwrap().bucket_sweeps, 1);
+
+        // Plain cost misses route through the CCH query path.
         assert_eq!(cached.cost(NodeId(2), NodeId(391)), bidir.cost(NodeId(2), NodeId(391)));
         assert!(cached.cch_stats().unwrap().p2p_queries > 0);
+        // Paths still come from the canonical bidirectional engine.
+        assert_eq!(cached.path(NodeId(2), NodeId(391)), bidir.path(NodeId(2), NodeId(391)));
 
         // Shift a region; both recustomizable backends agree bit-for-bit
         // with fresh Dijkstra on the shifted graph — cost, prime, & path.
@@ -616,16 +524,6 @@ mod tests {
         let p = cached.path(NodeId(0), NodeId(399)).unwrap();
         assert_eq!(Some(p.cost_s), d.cost(&shifted, NodeId(0), NodeId(399)));
         assert_eq!(cached.cch_stats().unwrap().customizations, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot re-customize")]
-    fn ch_backend_rejects_recustomize() {
-        let g = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
-        let ch = Arc::new(crate::ch::ContractionHierarchy::build(&g, 1));
-        let cached = PathCache::with_backend(g.clone(), RouterBackend::Ch(ch));
-        assert!(!cached.is_recustomizable());
-        cached.recustomize(g);
     }
 
     #[test]

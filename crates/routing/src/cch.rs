@@ -1,8 +1,8 @@
 //! Customizable contraction hierarchies: metric-independent preprocessing
 //! plus millisecond re-customization (Dibbelt, Strasser & Wagner's CCH).
 //!
-//! A plain [`crate::ContractionHierarchy`] bakes the metric into its node
-//! order and shortcut weights, so a traffic change means seconds of
+//! A plain contraction hierarchy bakes the metric into its node order and
+//! shortcut weights, so a traffic change means seconds of
 //! re-preprocessing. A CCH splits the work in three phases:
 //!
 //! 1. **Order + skeleton** (metric-independent, slow-but-rare): a
@@ -62,8 +62,8 @@ use std::sync::Arc;
 /// Inner payload tag of the persisted artifact.
 const ARTIFACT_TAG: &[u8; 4] = b"MTCC";
 
-/// Inner payload version of the persisted artifact (in lockstep with the
-/// plain-CH artifact family: v2 carries the metric generation counter).
+/// Inner payload version of the persisted artifact (v2 carries the metric
+/// generation counter).
 const ARTIFACT_VERSION: u32 = 2;
 
 /// Query/customization counters of a [`CustomizableCh`] (profiling only).
@@ -263,8 +263,8 @@ impl CustomizableCh {
         self.up_targets.len() as u64
     }
 
-    /// Arcs the elimination added beyond the original undirected edges —
-    /// the CCH analog of a plain CH's shortcut count.
+    /// Arcs the elimination added beyond the original undirected edges
+    /// (fill-in).
     #[inline]
     pub fn fill_arc_count(&self) -> u64 {
         self.fill_arcs
@@ -682,10 +682,9 @@ impl CchQuery {
     }
 }
 
-/// Bucket-based many-to-one kernel over the CCH skeleton: the analog of
-/// [`crate::ChBuckets`] on the customized metric — K upward sweeps
-/// deposit `(source, dist)` buckets, one downward-direction sweep from
-/// the target scans them.
+/// Bucket-based many-to-one kernel over the CCH skeleton on the
+/// customized metric — K upward sweeps deposit `(source, dist)` buckets,
+/// one downward-direction sweep from the target scans them.
 #[derive(Debug)]
 pub struct CchBuckets {
     cch: Arc<CustomizableCh>,

@@ -6,43 +6,34 @@
 //!
 //! - [`Dijkstra`]: single-source engine with one-to-all / all-to-one modes;
 //! - [`BidirDijkstra`]: point-to-point queries (backs the shared cache);
-//! - [`AStar`]: goal-directed exact queries with a geographic heuristic;
-//! - [`Alt`]: A* with landmark (triangle-inequality) lower bounds reusing
-//!   the partition landmark tables;
 //! - [`MaskedDijkstra`] + [`NodeMask`]: subgraph search for the paper's
 //!   two-phase (partition-filtered) routing, with optional vertex weights
 //!   for probabilistic routing;
-//! - [`ContractionHierarchy`] + [`ChQuery`] + [`ChBuckets`]: preprocessed
-//!   exact engine with bucket many-to-many batch queries, persistable as a
-//!   CRC-framed artifact (see the [`ch`] module docs);
+//! - [`CustomizableCh`] + [`CchQuery`] + [`CchBuckets`]: the one
+//!   preprocessed exact engine — a metric-independent hierarchy whose
+//!   weights re-customize in milliseconds, with bucket many-to-one batch
+//!   queries, persistable as a CRC-framed artifact (see the [`cch`]
+//!   module docs);
 //! - [`PathCache`]: the memoizing oracle standing in for the paper's cached
-//!   all-pairs table, with a pluggable exact backend ([`RouterBackend`]);
-//! - [`CostMatrix`]: dense landmark-to-everything cost tables.
+//!   all-pairs table, with a pluggable exact backend ([`RouterBackend`]:
+//!   bidirectional Dijkstra or the customizable hierarchy).
 
 #![warn(missing_docs)]
 
-pub mod alt;
-pub mod astar;
 pub mod bidirectional;
 pub mod cache;
 pub mod cch;
-pub mod ch;
 pub mod dijkstra;
 pub mod masked;
-pub mod matrix;
 pub mod oracle;
 pub mod order;
 pub mod path;
 
-pub use alt::Alt;
-pub use astar::AStar;
 pub use bidirectional::BidirDijkstra;
 pub use cache::{CacheStats, PathCache, RouterBackend};
 pub use cch::{CchBuckets, CchMetric, CchQuery, CchStats, CustomizableCh};
-pub use ch::{ChBuckets, ChQuery, ChStats, ContractionHierarchy};
 pub use dijkstra::{bellman_ford_cost, Dijkstra};
 pub use masked::{MaskedDijkstra, NodeMask};
-pub use matrix::CostMatrix;
 pub use oracle::{HotNodeOracle, OracleStats, PinnedReader};
 pub use order::NodeOrder;
 pub use path::Path;

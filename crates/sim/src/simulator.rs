@@ -573,9 +573,8 @@ impl Simulator {
     }
 
     /// Re-customizes the routing metric to the traffic shifts active at
-    /// `t` when the router supports it (`--router cch`). Without a
-    /// re-customizable backend this is a no-op and traffic shifts keep
-    /// their stretch-only treatment, so existing `--router bidir|ch`
+    /// `t` under `--router cch`. Under `--router bidir` this is a no-op
+    /// and traffic shifts keep their stretch-only treatment, so bidir
     /// traces are unchanged. Runs before the work unit at `t` is
     /// processed, so a shift-start disruption repairs routes against the
     /// already-shifted metric and the first work unit past a shift's end
@@ -619,8 +618,9 @@ impl Simulator {
     }
 
     /// The earliest traffic-shift start or end strictly after `t`, or
-    /// +∞ when none remain or the router is not re-customizable. Used
-    /// to cut speculative arrival batches at metric changes.
+    /// +∞ when none remain or the router is bidir (nothing to
+    /// re-customize). Used to cut speculative arrival batches at metric
+    /// changes.
     fn next_metric_boundary(&self, t: Time) -> Time {
         if self.cache.customizable().is_none() {
             return f64::INFINITY;
@@ -1836,9 +1836,6 @@ impl Simulator {
             });
             let cs = self.cache.stats();
             let os = self.oracle.stats();
-            let ch = self.cache.ch_stats().unwrap_or_default();
-            let ch_shortcuts =
-                self.cache.hierarchy().map(|h| h.shortcut_count()).unwrap_or_default();
             let cch = self.cache.cch_stats().unwrap_or_default();
             let cch_fill_arcs =
                 self.cache.customizable().map(|h| h.fill_arc_count()).unwrap_or_default();
@@ -1852,10 +1849,6 @@ impl Simulator {
                 oracle_searches: os.searches,
                 oracle_pin_computes: os.pin_computes,
                 oracle_evictions: os.evictions,
-                ch_p2p_queries: ch.p2p_queries,
-                ch_bucket_sweeps: ch.bucket_sweeps,
-                ch_bucket_sources: ch.bucket_sources,
-                ch_shortcuts,
                 cch_p2p_queries: cch.p2p_queries,
                 cch_bucket_sweeps: cch.bucket_sweeps,
                 cch_bucket_sources: cch.bucket_sources,
@@ -1900,7 +1893,6 @@ impl Simulator {
             index_memory_bytes: scheme.index_memory_bytes(),
             shared_memory_bytes: self.oracle.memory_bytes()
                 + self.cache.memory_bytes()
-                + self.cache.hierarchy().map(|h| h.memory_bytes()).unwrap_or(0)
                 + self.cache.customizable().map(|h| h.memory_bytes()).unwrap_or(0),
             wall_clock_s,
             served_records: self.served_records,

@@ -24,7 +24,7 @@ use mt_share::core::PartitionStrategy;
 use mt_share::mobility::Trip;
 use mt_share::persist::PersistError;
 use mt_share::road::{grid_city, io as road_io, GridCityConfig, SpatialGrid};
-use mt_share::routing::{ContractionHierarchy, CustomizableCh, PathCache, RouterBackend};
+use mt_share::routing::{CustomizableCh, PathCache, RouterBackend};
 use mt_share::serve::{
     open_feed, record_feed, supervise, AdmissionPolicy, AdmissionQueue, Pace, ServeError,
     ServeOptions, ServeOutcome, SuperviseConfig, FEED_FAULT_EXIT, STORAGE_FAULT_EXIT,
@@ -74,7 +74,7 @@ impl Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  mtshare simulate [--scheme no-sharing|t-share|pgreedy-dp|mt-share|mt-share-pro|batch]\n                   [--taxis N] [--requests N] [--nonpeak] [--rows N] [--cols N] [--seed N]\n                   [--capacity N]      # seats per taxi (1-8, default 4)\n                   [--parallelism N]   # dispatch worker threads; results identical to 1\n                   [--scheduler dp|dtree]      # insertion scoring engine; traces identical either way\n                   [--batch-window S]  # rolling-horizon window in sim seconds (with --scheme batch)\n                   [--batch-retries N] # re-queue budget for losing requests (with --scheme batch)\n                   [--router bidir|dijkstra|ch|cch]  # exact cost engine; traces identical across all\n                   [--ch-artifact FILE]        # persist/reuse the preprocessing (with --router ch|cch)\n                   [--metrics-out FILE.json]   # end-of-run summary (stages, caches, rejections)\n                   [--trace-out FILE.jsonl]    # dispatch-lifecycle event stream\n                   [--feed-record FILE.jsonl]  # dump the arrival stream in the serve feed format\n                   [--chaos-seed N]    # inject seeded disruptions (breakdowns/cancels/shifts)\n                   [--disruptions breakdowns=2,cancels=4,shifts=2]  # mix (with --chaos-seed)\n                   [--validate-every SECONDS]  # runtime invariant checker cadence\n                   [--state-dir DIR]   # checkpoint/WAL persistence (crash-consistent restart)\n                   [--checkpoint-every N]      # snapshot cadence in steps (default 256)\n                   [--resume]          # warm-restart from the newest valid checkpoint + WAL\n                   [--crash-at STEP]   # die (exit 42) after STEP steps, for restart testing\n                   [--durability strict|degrade]  # storage-fault policy: fail fast (exit 44) or\n                                                  # quarantine the state dir and keep serving\n                   [--failpoints SPEC] # seeded I/O faults, e.g. wal-sync-fail=1,snap-write-enospc=1\n                                       # (schedule derived from --chaos-seed)\n  mtshare serve    [--feed -|FILE|tcp:ADDR]    # line-delimited JSON request feed (default stdin)\n                   [--queue-capacity N]        # bounded admission queue (default 64)\n                   [--admission block|shed-oldest|reject-new]\n                   [--pace free|QUANTUM_S]     # burst entries per virtual-time quantum (default free)\n                   [--report-out FILE.jsonl]   # periodic steady-state reports\n                   [--report-every SECONDS]    # report cadence in virtual seconds (default 60)\n                   [--heartbeat-file FILE]     # liveness file rewritten every burst\n                   [--supervise]               # watchdog: restart on crash/fault/stall with backoff\n                   [--supervise-max-restarts N] [--supervise-backoff-ms MS] [--supervise-stall-ms MS]\n                   plus the simulate scenario/persistence flags (--taxis, --requests, --scheme,\n                   --state-dir, --resume, ...); a serve run over a recorded feed produces the\n                   one-shot run's exact event trace\n  mtshare partition [--kappa N] [--grid] [--out FILE.geojson|FILE.csv]\n  mtshare stats [--hours N]\n  mtshare trace FILE.csv"
+        "usage:\n  mtshare simulate [--scheme no-sharing|t-share|pgreedy-dp|mt-share|mt-share-pro|batch]\n                   [--taxis N] [--requests N] [--nonpeak] [--rows N] [--cols N] [--seed N]\n                   [--capacity N]      # seats per taxi (1-8, default 4)\n                   [--parallelism N]   # dispatch worker threads; results identical to 1\n                   [--scheduler dp|dtree]      # insertion scoring engine; traces identical either way\n                   [--batch-window S]  # rolling-horizon window in sim seconds (with --scheme batch)\n                   [--batch-retries N] # re-queue budget for losing requests (with --scheme batch)\n                   [--router bidir|cch]        # exact cost engine; traces identical either way\n                   [--ch-artifact FILE]        # persist/reuse the hierarchy (with --router cch)\n                   [--metrics-out FILE.json]   # end-of-run summary (stages, caches, rejections)\n                   [--trace-out FILE.jsonl]    # dispatch-lifecycle event stream\n                   [--feed-record FILE.jsonl]  # dump the arrival stream in the serve feed format\n                   [--chaos-seed N]    # inject seeded disruptions (breakdowns/cancels/shifts)\n                   [--disruptions breakdowns=2,cancels=4,shifts=2]  # mix (with --chaos-seed)\n                   [--validate-every SECONDS]  # runtime invariant checker cadence\n                   [--state-dir DIR]   # checkpoint/WAL persistence (crash-consistent restart)\n                   [--checkpoint-every N]      # snapshot cadence in steps (default 256)\n                   [--resume]          # warm-restart from the newest valid checkpoint + WAL\n                   [--crash-at STEP]   # die (exit 42) after STEP steps, for restart testing\n                   [--durability strict|degrade]  # storage-fault policy: fail fast (exit 44) or\n                                                  # quarantine the state dir and keep serving\n                   [--failpoints SPEC] # seeded I/O faults, e.g. wal-sync-fail=1,snap-write-enospc=1\n                                       # (schedule derived from --chaos-seed)\n  mtshare serve    [--feed -|FILE|tcp:ADDR]    # line-delimited JSON request feed (default stdin)\n                   [--queue-capacity N]        # bounded admission queue (default 64)\n                   [--admission block|shed-oldest|reject-new]\n                   [--pace free|QUANTUM_S]     # burst entries per virtual-time quantum (default free)\n                   [--report-out FILE.jsonl]   # periodic steady-state reports\n                   [--report-every SECONDS]    # report cadence in virtual seconds (default 60)\n                   [--heartbeat-file FILE]     # liveness file rewritten every burst\n                   [--supervise]               # watchdog: restart on crash/fault/stall with backoff\n                   [--supervise-max-restarts N] [--supervise-backoff-ms MS] [--supervise-stall-ms MS]\n                   plus the simulate scenario/persistence flags (--taxis, --requests, --scheme,\n                   --state-dir, --resume, ...); a serve run over a recorded feed produces the\n                   one-shot run's exact event trace\n  mtshare partition [--kappa N] [--grid] [--out FILE.geojson|FILE.csv]\n  mtshare stats [--hours N]\n  mtshare trace FILE.csv"
     );
     std::process::exit(2)
 }
@@ -166,8 +166,13 @@ fn validate_flags(cmd: &str, args: &Args, extra: &[&str]) {
             flag_error(&format!("--{f} requires --scheme batch"));
         }
     }
-    if args.has("ch-artifact") && !matches!(args.get("router"), Some("ch" | "cch")) {
-        flag_error("--ch-artifact requires --router ch or --router cch");
+    if let Some(router) = args.get("router") {
+        if !matches!(router, "bidir" | "cch") {
+            flag_error(&format!("unknown router `{router}` (expected bidir|cch)"));
+        }
+    }
+    if args.has("ch-artifact") && args.get("router") != Some("cch") {
+        flag_error("--ch-artifact requires --router cch");
     }
     if args.has("disruptions") && !args.has("chaos-seed") {
         flag_error("--disruptions requires --chaos-seed");
@@ -217,7 +222,7 @@ fn main() {
 }
 
 /// Telemetry bus: enabled iff at least one output was asked for.
-/// Created before the path cache so CH preprocessing lands in the
+/// Created before the path cache so CCH preprocessing lands in the
 /// `preprocess_ch` stage span.
 fn build_obs(args: &Args) -> mt_share::obs::Obs {
     let wants = args.has("metrics-out") || args.has("trace-out") || args.has("report-out");
@@ -235,36 +240,15 @@ fn build_obs(args: &Args) -> mt_share::obs::Obs {
     obs
 }
 
+/// The path cache over the `--router` backend (validated in
+/// [`validate_flags`]: `bidir`, the default, or `cch`).
 fn build_cache(
     args: &Args,
     graph: &Arc<mt_share::road::RoadNetwork>,
-    parallelism: usize,
     obs: &mt_share::obs::Obs,
 ) -> PathCache {
-    let backend = match args.get("router").unwrap_or("bidir") {
-        "bidir" | "dijkstra" => RouterBackend::Bidir,
-        "ch" => {
-            let _span = obs.stage(mt_share::obs::Stage::PreprocessCh);
-            let ch = match args.get("ch-artifact") {
-                Some(path) => {
-                    let (ch, rebuilt) = ContractionHierarchy::load_or_build(
-                        std::path::Path::new(path),
-                        graph,
-                        parallelism,
-                    )
-                    .unwrap_or_else(|e| artifact_error(path, e));
-                    if rebuilt {
-                        eprintln!("built contraction hierarchy, saved artifact to {path}");
-                    } else {
-                        eprintln!("loaded contraction hierarchy artifact from {path}");
-                    }
-                    ch
-                }
-                None => ContractionHierarchy::build(graph, parallelism),
-            };
-            RouterBackend::Ch(Arc::new(ch))
-        }
-        "cch" => {
+    let backend = match args.get("router") {
+        Some("cch") => {
             let _span = obs.stage(mt_share::obs::Stage::PreprocessCh);
             let cch = match args.get("ch-artifact") {
                 Some(path) => {
@@ -282,10 +266,7 @@ fn build_cache(
             };
             RouterBackend::Cch(Arc::new(cch))
         }
-        other => {
-            eprintln!("unknown router: {other}");
-            usage()
-        }
+        _ => RouterBackend::Bidir,
     };
     PathCache::with_backend(graph.clone(), backend)
 }
@@ -459,7 +440,7 @@ fn simulate(args: &Args) {
     let graph = city(args);
     let parallelism = args.num("parallelism", 1usize).max(1);
     let obs = build_obs(args);
-    let cache = build_cache(args, &graph, parallelism, &obs);
+    let cache = build_cache(args, &graph, &obs);
     let scenario = Scenario::generate(graph.clone(), &cache, scenario_config(args));
 
     if let Some(path) = args.get("feed-record") {
@@ -633,7 +614,7 @@ fn serve_cmd(args: &Args) {
     let graph = city(args);
     let parallelism = args.num("parallelism", 1usize).max(1);
     let obs = build_obs(args);
-    let cache = build_cache(args, &graph, parallelism, &obs);
+    let cache = build_cache(args, &graph, &obs);
     // The same generation as `simulate`, so the fleet and historical
     // trips are identical — only the arrival stream is replaced by the
     // feed. The generated requests are discarded.

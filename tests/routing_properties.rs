@@ -1,11 +1,12 @@
 //! Property tests for the routing substrate: all engines agree with the
-//! Bellman-Ford oracle, costs obey the triangle inequality, and caches are
-//! transparent.
+//! Bellman-Ford oracle, costs obey the triangle inequality, landmark
+//! bounds are admissible, and caches are transparent.
 
+use mt_share::mobility::{grid_partition, LandmarkGraph};
 use mt_share::road::{grid_city, GridCityConfig, NodeId, RoadNetwork};
 use mt_share::routing::{
-    bellman_ford_cost, AStar, Alt, BidirDijkstra, Dijkstra, HotNodeOracle, MaskedDijkstra,
-    NodeMask, PathCache,
+    bellman_ford_cost, BidirDijkstra, CchQuery, CustomizableCh, Dijkstra, HotNodeOracle,
+    MaskedDijkstra, NodeMask, PathCache,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -31,10 +32,10 @@ proptest! {
         let oracle = bellman_ford_cost(&g, s, t).expect("strongly connected");
         let mut d = Dijkstra::new(&g);
         let mut bi = BidirDijkstra::new(&g);
-        let mut a = AStar::new(&g);
+        let mut cch = CchQuery::new(Arc::new(CustomizableCh::build(&g)));
         prop_assert!((d.cost(&g, s, t).unwrap() - oracle).abs() < 1e-2);
         prop_assert!((bi.cost(&g, s, t).unwrap() - oracle).abs() < 1e-2);
-        prop_assert!((a.cost(&g, s, t).unwrap() - oracle).abs() < 1e-2);
+        prop_assert!((cch.cost(s, t).unwrap() - oracle).abs() < 1e-2);
     }
 
     #[test]
@@ -103,13 +104,23 @@ proptest! {
         t in 0u32..144,
     ) {
         let g = city(seed);
-        // Corners plus centre: a deliberately lopsided landmark set so the
-        // bound is tight along some corridors and slack along others.
-        let landmarks = [0u32, 11, 132, 143, 66].map(NodeId);
-        let mut alt = Alt::with_landmarks(&g, &landmarks);
+        // The partition landmark tables partition filtering estimates
+        // from: by the triangle inequality, every landmark `L` bounds
+        // d(s,t) from below by d(L,t) − d(L,s) and by d(s,L) − d(t,L).
+        let partitioning = grid_partition(&g, 9);
+        let lg = LandmarkGraph::build(&g, &partitioning);
+        let (s, t) = (NodeId(s), NodeId(t));
         let mut d = Dijkstra::new(&g);
-        let true_cost = d.cost(&g, NodeId(s), NodeId(t)).unwrap();
-        let lb = alt.lower_bound(NodeId(s), NodeId(t));
+        let true_cost = d.cost(&g, s, t).unwrap();
+        let lb = partitioning
+            .partitions()
+            .flat_map(|p| {
+                [
+                    lg.cost_from_landmark(p, t) - lg.cost_from_landmark(p, s),
+                    lg.cost_to_landmark(s, p) - lg.cost_to_landmark(t, p),
+                ]
+            })
+            .fold(0.0f32, f32::max) as f64;
         prop_assert!(
             lb <= true_cost + 1e-3,
             "landmark bound {lb} exceeds true cost {true_cost} for {s}->{t}"

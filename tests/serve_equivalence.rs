@@ -146,7 +146,9 @@ fn bad_flag_combinations_fail_fast_with_exit_2() {
         (&["simulate", "--crash-at", "10"], "--crash-at requires --state-dir"),
         (&["simulate", "--batch-retries", "2"], "--batch-retries requires --scheme batch"),
         (&["serve", "--batch-window", "30"], "--batch-window requires --scheme batch"),
-        (&["simulate", "--ch-artifact", "ch.bin"], "--ch-artifact requires --router ch"),
+        (&["simulate", "--ch-artifact", "ch.bin"], "--ch-artifact requires --router cch"),
+        (&["simulate", "--router", "ch"], "unknown router `ch` (expected bidir|cch)"),
+        (&["serve", "--router", "dijkstra"], "unknown router `dijkstra` (expected bidir|cch)"),
         (&["simulate", "--disruptions", "cancels=2"], "--disruptions requires --chaos-seed"),
         (&["serve", "--report-every", "30"], "--report-every requires --report-out"),
         (&["serve", "--admission", "block", "--queue-capacity", "0"], "can never admit"),
