@@ -8,7 +8,7 @@
 //!   minimum detour (Tong et al., VLDB'18).
 //!
 //! All three implement the same [`mtshare_model::DispatchScheme`] trait as
-//! mT-Share and run against the same shared path cache / cost oracle.
+//! mT-Share and run against the same shared path cache.
 
 #![warn(missing_docs)]
 

@@ -81,7 +81,7 @@ impl DispatchScheme for PGreedyDp {
             let taxi = world.taxi(id);
             if let Some(ins) = self
                 .engine
-                .best_insertion(taxi, req, now, world, &mut |a, b| world.oracle.cost(a, b))
+                .best_insertion(taxi, req, now, world, &mut |a, b| world.cache.cost(a, b))
             {
                 if best.is_none_or(|(_, b)| ins.delta_s < b.delta_s) {
                     best = Some((id, ins));
@@ -167,7 +167,7 @@ mod tests {
             let mut c = 0.0;
             let mut from = pos;
             for ev in taxi.schedule.events() {
-                c += world.oracle.cost(from, ev.node)?;
+                c += world.cache.cost(from, ev.node)?;
                 from = ev.node;
             }
             c
@@ -186,7 +186,7 @@ mod tests {
         for i in 0..=m {
             for j in (i + 1)..=(m + 1) {
                 let s = taxi.schedule.with_insertion(req, i, j);
-                if let Some(eval) = evaluate_schedule(&s, &ectx, |a, b| world.oracle.cost(a, b)) {
+                if let Some(eval) = evaluate_schedule(&s, &ectx, |a, b| world.cache.cost(a, b)) {
                     // Also require the pickup deadline (the DP enforces it).
                     let pickup_idx = i;
                     if eval.arrival_times[pickup_idx] > req.pickup_deadline() + 1e-6 {
@@ -217,7 +217,7 @@ mod tests {
         let r3 = b.make_request(44, 360, 2.0, 2.0);
         let world = b.world();
         let taxi = world.taxi(tid);
-        let dp = best_insertion_dp(taxi, &r3, 2.0, &world, |x, y| world.oracle.cost(x, y));
+        let dp = best_insertion_dp(taxi, &r3, 2.0, &world, |x, y| world.cache.cost(x, y));
         let bf = brute_force(taxi, &r3, 2.0, &world);
         match (dp, bf) {
             (Some(d), Some((_, _, bcost))) => {
@@ -241,10 +241,10 @@ mod tests {
         let world = b.world();
         let taxi = world.taxi(tid);
         let ins =
-            best_insertion_dp(taxi, &req, 0.0, &world, |x, y| world.oracle.cost(x, y)).unwrap();
+            best_insertion_dp(taxi, &req, 0.0, &world, |x, y| world.cache.cost(x, y)).unwrap();
         assert_eq!((ins.i, ins.j), (0, 1));
-        let expect = world.oracle.cost(mtshare_road::NodeId(0), req.origin).unwrap()
-            + world.oracle.cost(req.origin, req.destination).unwrap();
+        let expect = world.cache.cost(mtshare_road::NodeId(0), req.origin).unwrap()
+            + world.cache.cost(req.origin, req.destination).unwrap();
         assert!((ins.delta_s - expect).abs() < 1e-6);
     }
 
@@ -255,9 +255,7 @@ mod tests {
         let req = b.make_request(0, 20, 0.0, 1.01);
         let world = b.world();
         let taxi = world.taxi(tid);
-        assert!(
-            best_insertion_dp(taxi, &req, 0.0, &world, |x, y| world.oracle.cost(x, y)).is_none()
-        );
+        assert!(best_insertion_dp(taxi, &req, 0.0, &world, |x, y| world.cache.cost(x, y)).is_none());
     }
 
     #[test]

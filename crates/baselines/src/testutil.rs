@@ -5,13 +5,12 @@ use mtshare_model::{
     TimedRoute, World,
 };
 use mtshare_road::{grid_city, GridCityConfig, NodeId, RoadNetwork};
-use mtshare_routing::{HotNodeOracle, PathCache};
+use mtshare_routing::PathCache;
 use std::sync::Arc;
 
 pub(crate) struct Bench {
     pub graph: Arc<RoadNetwork>,
     pub cache: PathCache,
-    pub oracle: HotNodeOracle,
     pub taxis: Vec<Taxi>,
     pub requests: RequestStore,
 }
@@ -20,8 +19,7 @@ impl Bench {
     pub fn new() -> Self {
         let graph = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
         let cache = PathCache::new(graph.clone());
-        let oracle = HotNodeOracle::new(graph.clone());
-        Self { graph, cache, oracle, taxis: Vec::new(), requests: RequestStore::new() }
+        Self { graph, cache, taxis: Vec::new(), requests: RequestStore::new() }
     }
 
     pub fn add_taxi(&mut self, at: NodeId) -> TaxiId {
@@ -34,7 +32,6 @@ impl Bench {
         World {
             graph: &self.graph,
             cache: &self.cache,
-            oracle: &self.oracle,
             taxis: &self.taxis,
             requests: &self.requests,
         }
@@ -42,8 +39,8 @@ impl Bench {
 
     pub fn make_request(&mut self, origin: u32, dest: u32, release: f64, rho: f64) -> RideRequest {
         let direct = self.cache.cost(NodeId(origin), NodeId(dest)).unwrap();
-        self.oracle.pin(NodeId(origin));
-        self.oracle.pin(NodeId(dest));
+        self.cache.pin(NodeId(origin));
+        self.cache.pin(NodeId(dest));
         let req = RideRequest {
             id: RequestId(self.requests.len() as u32),
             release_time: release,
@@ -71,7 +68,6 @@ impl Bench {
         let world = World {
             graph: &self.graph,
             cache: &self.cache,
-            oracle: &self.oracle,
             taxis: &self.taxis,
             requests: &self.requests,
         };
@@ -98,7 +94,6 @@ impl Bench {
                 let world = World {
                     graph: &self.graph,
                     cache: &self.cache,
-                    oracle: &self.oracle,
                     taxis: &self.taxis,
                     requests: &self.requests,
                 };

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mtshare_core::{MtShareConfig, PartitionStrategy};
 use mtshare_model::{DispatchScheme, RequestStore, RideRequest, World};
 use mtshare_road::grid_city;
-use mtshare_routing::{HotNodeOracle, PathCache};
+use mtshare_routing::PathCache;
 use mtshare_sim::{build_context, Scenario, ScenarioConfig, SchemeKind};
 use std::sync::Arc;
 
@@ -19,14 +19,13 @@ fn bench_dispatch(c: &mut Criterion) {
     let cache = PathCache::new(graph.clone());
     let scenario = Scenario::generate(graph.clone(), &cache, cfg);
     let ctx = build_context(&graph, &scenario.historical, 48, PartitionStrategy::Bipartite);
-    let oracle = HotNodeOracle::new(graph.clone());
 
     // Pin every request endpoint so leg-cost probes are O(1), as in the
     // simulator.
     let mut requests = RequestStore::new();
     for r in &scenario.requests {
-        oracle.pin(r.origin);
-        oracle.pin(r.destination);
+        cache.pin(r.origin);
+        cache.pin(r.destination);
         requests.push(r.clone());
     }
     let taxis = scenario.taxis.clone();
@@ -36,13 +35,7 @@ fn bench_dispatch(c: &mut Criterion) {
         let mut scheme =
             kind.build(&graph, taxis.len(), kind.needs_context().then(|| ctx.clone()), None);
         {
-            let world = World {
-                graph: &graph,
-                cache: &cache,
-                oracle: &oracle,
-                taxis: &taxis,
-                requests: &requests,
-            };
+            let world = World { graph: &graph, cache: &cache, taxis: &taxis, requests: &requests };
             scheme.install(&world);
         }
         group.bench_function(kind.label(), |b| {
@@ -50,13 +43,8 @@ fn bench_dispatch(c: &mut Criterion) {
             b.iter(|| {
                 let req = &scenario.requests[i % scenario.requests.len()];
                 i += 1;
-                let world = World {
-                    graph: &graph,
-                    cache: &cache,
-                    oracle: &oracle,
-                    taxis: &taxis,
-                    requests: &requests,
-                };
+                let world =
+                    World { graph: &graph, cache: &cache, taxis: &taxis, requests: &requests };
                 scheme.dispatch(req, req.release_time, &world)
             })
         });
@@ -76,12 +64,11 @@ fn bench_batch_dispatch(c: &mut Criterion) {
     let cache = PathCache::new(graph.clone());
     let scenario = Scenario::generate(graph.clone(), &cache, cfg);
     let ctx = build_context(&graph, &scenario.historical, 48, PartitionStrategy::Bipartite);
-    let oracle = HotNodeOracle::new(graph.clone());
 
     let mut requests = RequestStore::new();
     for r in &scenario.requests {
-        oracle.pin(r.origin);
-        oracle.pin(r.destination);
+        cache.pin(r.origin);
+        cache.pin(r.destination);
         requests.push(r.clone());
     }
     let taxis = scenario.taxis.clone();
@@ -94,25 +81,14 @@ fn bench_batch_dispatch(c: &mut Criterion) {
         let mut scheme =
             SchemeKind::MtShare.build(&graph, taxis.len(), Some(ctx.clone()), Some(mt_cfg));
         {
-            let world = World {
-                graph: &graph,
-                cache: &cache,
-                oracle: &oracle,
-                taxis: &taxis,
-                requests: &requests,
-            };
+            let world = World { graph: &graph, cache: &cache, taxis: &taxis, requests: &requests };
             scheme.install(&world);
         }
         let id = if workers == 1 { "seq".to_string() } else { format!("par{workers}") };
         group.bench_function(BenchmarkId::from_parameter(id), |b| {
             b.iter(|| {
-                let world = World {
-                    graph: &graph,
-                    cache: &cache,
-                    oracle: &oracle,
-                    taxis: &taxis,
-                    requests: &requests,
-                };
+                let world =
+                    World { graph: &graph, cache: &cache, taxis: &taxis, requests: &requests };
                 scheme.dispatch_batch_speculative(&batch, &world)
             })
         });

@@ -9,13 +9,12 @@ use mtshare_model::{
     RideRequest, Taxi, TaxiId, World,
 };
 use mtshare_road::{grid_city, GridCityConfig, NodeId};
-use mtshare_routing::{HotNodeOracle, PathCache};
+use mtshare_routing::PathCache;
 use std::sync::Arc;
 
 struct Fx {
     graph: Arc<mtshare_road::RoadNetwork>,
     cache: PathCache,
-    oracle: HotNodeOracle,
     requests: RequestStore,
 }
 
@@ -23,14 +22,13 @@ impl Fx {
     fn new() -> Self {
         let graph = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
         let cache = PathCache::new(graph.clone());
-        let oracle = HotNodeOracle::new(graph.clone());
-        Self { graph, cache, oracle, requests: RequestStore::new() }
+        Self { graph, cache, requests: RequestStore::new() }
     }
 
     fn req(&mut self, o: u32, d: u32, rho: f64) -> RideRequest {
         let direct = self.cache.cost(NodeId(o), NodeId(d)).unwrap();
-        self.oracle.pin(NodeId(o));
-        self.oracle.pin(NodeId(d));
+        self.cache.pin(NodeId(o));
+        self.cache.pin(NodeId(d));
         let r = RideRequest {
             id: RequestId(self.requests.len() as u32),
             release_time: 0.0,
@@ -73,7 +71,7 @@ fn brute_force(taxi: &Taxi, req: &RideRequest, world: &World<'_>) -> Option<f64>
     for i in 0..=m {
         for j in (i + 1)..=(m + 1) {
             let s = taxi.schedule.with_insertion(req, i, j);
-            if let Some(e) = evaluate_schedule(&s, &ectx, |a, b| world.oracle.cost(a, b)) {
+            if let Some(e) = evaluate_schedule(&s, &ectx, |a, b| world.cache.cost(a, b)) {
                 if best.is_none_or(|b| e.total_cost_s < b) {
                     best = Some(e.total_cost_s);
                 }
@@ -92,37 +90,20 @@ fn bench_scheduling(c: &mut Criterion) {
         let taxis = [taxi];
 
         group.bench_with_input(BenchmarkId::new("slack_dp", depth), &depth, |b, _| {
-            let world = World {
-                graph: &f.graph,
-                cache: &f.cache,
-                oracle: &f.oracle,
-                taxis: &taxis,
-                requests: &f.requests,
-            };
-            b.iter(|| {
-                best_insertion(&taxis[0], &probe, 0.0, &world, |x, y| world.oracle.cost(x, y))
-            })
+            let world =
+                World { graph: &f.graph, cache: &f.cache, taxis: &taxis, requests: &f.requests };
+            b.iter(|| best_insertion(&taxis[0], &probe, 0.0, &world, |x, y| world.cache.cost(x, y)))
         });
         group.bench_with_input(BenchmarkId::new("brute_force", depth), &depth, |b, _| {
-            let world = World {
-                graph: &f.graph,
-                cache: &f.cache,
-                oracle: &f.oracle,
-                taxis: &taxis,
-                requests: &f.requests,
-            };
+            let world =
+                World { graph: &f.graph, cache: &f.cache, taxis: &taxis, requests: &f.requests };
             b.iter(|| brute_force(&taxis[0], &probe, &world))
         });
         group.bench_with_input(BenchmarkId::new("exhaustive_reorder", depth), &depth, |b, _| {
-            let world = World {
-                graph: &f.graph,
-                cache: &f.cache,
-                oracle: &f.oracle,
-                taxis: &taxis,
-                requests: &f.requests,
-            };
+            let world =
+                World { graph: &f.graph, cache: &f.cache, taxis: &taxis, requests: &f.requests };
             b.iter(|| {
-                best_reordering(&taxis[0], &probe, 0.0, &world, |x, y| world.oracle.cost(x, y))
+                best_reordering(&taxis[0], &probe, 0.0, &world, |x, y| world.cache.cost(x, y))
             })
         });
     }

@@ -5,10 +5,11 @@
 //! The fixture mirrors the simulator's steady state at high load:
 //! capacity-4 taxis with 14-stop committed schedules and two riders
 //! already onboard (mean occupancy ≥ 2), scored through the pinned
-//! [`HotNodeOracle`] exactly as Algorithm 1 runs in production. The DP
-//! re-issues Θ(m²) oracle queries per probe; the tree serves committed
-//! legs from its spine cache and repeated probe legs from the
-//! per-evaluation memo, so only Θ(m) distinct queries hit the oracle.
+//! vectors of the shared [`PathCache`] exactly as Algorithm 1 runs in
+//! production. The DP re-issues Θ(m²) cost queries per probe; the tree
+//! serves committed legs from its spine cache and repeated probe legs
+//! from the per-evaluation memo, so only Θ(m) distinct queries hit the
+//! cache.
 //! Headline target: ≥ 3× p95 speedup for `dtree_update`.
 //!
 //! Usage: `dispatch_bench [OUT.json]` (default: `BENCH_dispatch.json` at
@@ -20,7 +21,7 @@ use mtshare_model::{
     World,
 };
 use mtshare_road::{grid_city, GridCityConfig, NodeId};
-use mtshare_routing::{HotNodeOracle, PathCache};
+use mtshare_routing::PathCache;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Instant;
@@ -34,7 +35,6 @@ const TARGET_SPEEDUP: f64 = 3.0;
 struct Fixture {
     graph: Arc<mtshare_road::RoadNetwork>,
     cache: PathCache,
-    oracle: HotNodeOracle,
     requests: RequestStore,
     taxis: Vec<Taxi>,
     probes: Vec<RideRequest>,
@@ -54,7 +54,7 @@ fn main() {
     let dp = DpEngine;
     let dtree = DtreeEngine::new(f.taxis.len());
 
-    // Warm every cache layer (oracle pins are precomputed; this syncs
+    // Warm every cache layer (pins are precomputed; this syncs
     // the trees and faults in the spine leg costs) and prove the two
     // engines agree bit for bit on every sample this bench will time.
     let world = f.world();
@@ -64,10 +64,9 @@ fn main() {
     let mut feasible = 0usize;
     for probe in &f.probes {
         for taxi in &f.taxis {
-            let a =
-                dp.best_insertion(taxi, probe, 0.0, &world, &mut |x, y| world.oracle.cost(x, y));
+            let a = dp.best_insertion(taxi, probe, 0.0, &world, &mut |x, y| world.cache.cost(x, y));
             let b =
-                dtree.best_insertion(taxi, probe, 0.0, &world, &mut |x, y| world.oracle.cost(x, y));
+                dtree.best_insertion(taxi, probe, 0.0, &world, &mut |x, y| world.cache.cost(x, y));
             assert_eq!(
                 a.map(|v| (v.i, v.j, v.delta_s.to_bits())),
                 b.map(|v| (v.i, v.j, v.delta_s.to_bits())),
@@ -134,13 +133,11 @@ fn main() {
 fn build_fixture() -> Fixture {
     let graph = Arc::new(grid_city(&GridCityConfig::default()).unwrap());
     let cache = PathCache::new(graph.clone());
-    let mut oracle = HotNodeOracle::new(graph.clone());
     let mut requests = RequestStore::new();
     let mut rng = SmallRng::seed_from_u64(11);
     let n = graph.node_count() as u32;
 
     let add_request = |requests: &mut RequestStore,
-                       oracle: &mut HotNodeOracle,
                        cache: &PathCache,
                        o: NodeId,
                        d: NodeId,
@@ -160,8 +157,8 @@ fn build_fixture() -> Fixture {
         requests.push(req.clone());
         // Active requests keep their endpoints pinned, as in the
         // simulator.
-        oracle.pin(o);
-        oracle.pin(d);
+        cache.pin(o);
+        cache.pin(d);
         req
     };
 
@@ -169,7 +166,7 @@ fn build_fixture() -> Fixture {
     for t in 0..FLEET {
         let pos = NodeId(rng.gen_range(0..n));
         let mut taxi = Taxi::new(TaxiId(t as u32), 4, pos);
-        oracle.pin(pos);
+        cache.pin(pos);
         // The first `ONBOARD_PER_TAXI` requests nest around the rest
         // (their dropoffs close the route), later ones ride as adjacent
         // pairs — so completing the leading pickups leaves the riders
@@ -180,7 +177,7 @@ fn build_fixture() -> Fixture {
         for k in 0..COMMITTED_PER_TAXI {
             let o = NodeId(rng.gen_range(0..n));
             let d = NodeId(rng.gen_range(0..n));
-            let req = add_request(&mut requests, &mut oracle, &cache, o, d, 1e7);
+            let req = add_request(&mut requests, &cache, o, d, 1e7);
             let (i, j) = if k < ONBOARD_PER_TAXI {
                 (k, k + 1)
             } else {
@@ -201,11 +198,11 @@ fn build_fixture() -> Fixture {
         .map(|_| {
             let o = NodeId(rng.gen_range(0..n));
             let d = NodeId(rng.gen_range(0..n));
-            add_request(&mut requests, &mut oracle, &cache, o, d, 0.0)
+            add_request(&mut requests, &cache, o, d, 0.0)
         })
         .collect();
 
-    Fixture { graph, cache, oracle, requests, taxis, probes }
+    Fixture { graph, cache, requests, taxis, probes }
 }
 
 impl Fixture {
@@ -213,7 +210,6 @@ impl Fixture {
         World {
             graph: &self.graph,
             cache: &self.cache,
-            oracle: &self.oracle,
             taxis: &self.taxis,
             requests: &self.requests,
         }
@@ -241,7 +237,7 @@ fn best_latency(runs: usize, f: &Fixture, engine: &dyn ScheduleEngine) -> (f64, 
             for taxi in &f.taxis {
                 let t0 = Instant::now();
                 let r = engine
-                    .best_insertion(taxi, probe, 0.0, &world, &mut |x, y| world.oracle.cost(x, y));
+                    .best_insertion(taxi, probe, 0.0, &world, &mut |x, y| world.cache.cost(x, y));
                 let dt = t0.elapsed().as_secs_f64() * 1e6;
                 std::hint::black_box(r);
                 mins[idx] = mins[idx].min(dt);

@@ -106,14 +106,13 @@ mod tests {
     use mtshare_mobility::Trip;
     use mtshare_model::{RequestId, RequestStore, RideRequest, Taxi};
     use mtshare_road::{grid_city, GridCityConfig, NodeId, RoadNetwork};
-    use mtshare_routing::{HotNodeOracle, PathCache};
+    use mtshare_routing::PathCache;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     use std::sync::Arc;
 
     struct Fixture {
         graph: Arc<RoadNetwork>,
         cache: PathCache,
-        oracle: HotNodeOracle,
         ctx: Arc<MobilityContext>,
         taxis: Vec<Taxi>,
         requests: RequestStore,
@@ -132,11 +131,9 @@ mod tests {
                 .collect();
             let ctx = MobilityContext::build(&graph, &trips, 16, 4, 7, PartitionStrategy::Grid);
             let cache = PathCache::new(graph.clone());
-            let oracle = HotNodeOracle::new(graph.clone());
             Self {
                 graph,
                 cache,
-                oracle,
                 ctx,
                 taxis: Vec::new(),
                 requests: RequestStore::new(),
@@ -148,7 +145,6 @@ mod tests {
             World {
                 graph: &self.graph,
                 cache: &self.cache,
-                oracle: &self.oracle,
                 taxis: &self.taxis,
                 requests: &self.requests,
             }

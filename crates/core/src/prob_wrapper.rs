@@ -76,7 +76,7 @@ impl<S: DispatchScheme> WithProbabilisticRouting<S> {
         let mut legs: Vec<Path> = Vec::with_capacity(a.schedule.len());
         let mut from = pos;
         for ev in a.schedule.events() {
-            let Some(shortest) = world.oracle.cost(from, ev.node) else { return a };
+            let Some(shortest) = world.cache.cost(from, ev.node) else { return a };
             let budget = shortest * (1.0 + self.cfg.epsilon);
             let Some(leg) = self.router.probabilistic_leg(
                 world.graph,
@@ -201,7 +201,7 @@ mod tests {
     use mtshare_mobility::Trip;
     use mtshare_model::{RequestId, RequestStore, Taxi};
     use mtshare_road::{grid_city, GridCityConfig, NodeId};
-    use mtshare_routing::{HotNodeOracle, PathCache};
+    use mtshare_routing::PathCache;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     /// Minimal inner scheme: always assigns taxi 0 with a direct schedule.
@@ -256,12 +256,11 @@ mod tests {
         assert!(wrapped.uses_probabilistic_routing());
 
         let cache = PathCache::new(graph.clone());
-        let oracle = HotNodeOracle::new(graph.clone());
         let taxis = vec![Taxi::new(TaxiId(0), 4, NodeId(0))];
         let mut requests = RequestStore::new();
         let direct_cost = cache.cost(NodeId(21), NodeId(399)).unwrap();
-        oracle.pin(NodeId(21));
-        oracle.pin(NodeId(399));
+        cache.pin(NodeId(21));
+        cache.pin(NodeId(399));
         let req = RideRequest {
             id: RequestId(0),
             release_time: 0.0,
@@ -273,13 +272,7 @@ mod tests {
             offline: false,
         };
         requests.push(req.clone());
-        let world = World {
-            graph: &graph,
-            cache: &cache,
-            oracle: &oracle,
-            taxis: &taxis,
-            requests: &requests,
-        };
+        let world = World { graph: &graph, cache: &cache, taxis: &taxis, requests: &requests };
         let out = wrapped.dispatch(&req, 0.0, &world);
         let a = out.assignment.unwrap();
         // Legs still connect and total cost within the (1+ε) budget per leg.

@@ -2,9 +2,10 @@
 //!
 //! For every candidate taxi, enumerate all schedule instances obtained by
 //! inserting the request's pick-up and drop-off into the existing schedule,
-//! score feasible instances by detour cost (Eq. 4) against the O(1) cost
-//! oracle, then materialize the best instance into actual routed legs
-//! (basic or probabilistic mode) and re-verify before committing.
+//! score feasible instances by detour cost (Eq. 4) against the shared cost
+//! cache (O(1) pinned-vector reads), then materialize the best instance
+//! into actual routed legs (basic or probabilistic mode) and re-verify
+//! before committing.
 
 use crate::config::MtShareConfig;
 use crate::context::MobilityContext;
@@ -62,18 +63,6 @@ pub fn schedule_best(
     engine: &dyn ScheduleEngine,
     router: &mut SegmentRouter,
 ) -> (Option<Assignment>, usize, usize) {
-    // Under the CCH backend, batch every candidate's position→pickup cost
-    // through the bucket many-to-one kernel so the materialization
-    // probes below hit a primed memo (one downward sweep instead of one
-    // search per candidate). The installed values are bit-identical to
-    // per-pair queries, and the call is a no-op under the bidirectional
-    // backend, so dispatch decisions cannot depend on the router.
-    if !candidates.is_empty() {
-        let positions: Vec<NodeId> =
-            candidates.iter().map(|&t| world.taxi(t).position_at(now)).collect();
-        world.cache.prime_many_to_one(&positions, req.origin);
-    }
-
     // Per candidate, the optimal schedule instance via the configured
     // engine — the O(m²) slack DP or the incremental dynamic tree, with
     // bit-identical results either way (identical to brute-force
@@ -86,7 +75,7 @@ pub fn schedule_best(
         for &taxi_id in candidates {
             let taxi = world.taxi(taxi_id);
             if let Some(ins) =
-                engine.best_insertion(taxi, req, now, world, &mut |a, b| world.oracle.cost(a, b))
+                engine.best_insertion(taxi, req, now, world, &mut |a, b| world.cache.cost(a, b))
             {
                 slots.push(ScoredSlot { taxi: taxi_id, i: ins.i, j: ins.j, detour_s: ins.delta_s });
             }
@@ -174,7 +163,7 @@ fn materialize(
     };
     let mut legs: Vec<Path> = Vec::with_capacity(inst.schedule.len());
     if probabilistic {
-        let base = evaluate_schedule(&inst.schedule, &ectx, |a, b| world.oracle.cost(a, b))?;
+        let base = evaluate_schedule(&inst.schedule, &ectx, |a, b| world.cache.cost(a, b))?;
         let n = inst.schedule.len();
         // slack_suffix[k] = max delay injectable before event k without
         // missing any later drop-off deadline.
@@ -192,7 +181,7 @@ fn materialize(
         let mut extra_used = 0.0f64;
         let mut from = pos;
         for (k, ev) in inst.schedule.events().iter().enumerate() {
-            let shortest = world.oracle.cost(from, ev.node)?;
+            let shortest = world.cache.cost(from, ev.node)?;
             let available = (slack_suffix[k] - extra_used).max(0.0);
             // Cap wandering even when slack is huge.
             let budget = shortest + available.min(shortest * (1.0 + cfg.epsilon));
@@ -263,14 +252,13 @@ mod tests {
     use mtshare_mobility::Trip;
     use mtshare_model::{DpEngine, RequestId, RequestStore, TimedRoute};
     use mtshare_road::{grid_city, GridCityConfig, RoadNetwork};
-    use mtshare_routing::{HotNodeOracle, PathCache};
+    use mtshare_routing::PathCache;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     use std::sync::Arc;
 
     struct Fixture {
         graph: Arc<RoadNetwork>,
         cache: PathCache,
-        oracle: HotNodeOracle,
         ctx: Arc<MobilityContext>,
         taxis: Vec<Taxi>,
         requests: RequestStore,
@@ -289,11 +277,9 @@ mod tests {
                 .collect();
             let ctx = MobilityContext::build(&graph, &trips, 16, 4, 7, PartitionStrategy::Grid);
             let cache = PathCache::new(graph.clone());
-            let oracle = HotNodeOracle::new(graph.clone());
             Self {
                 graph,
                 cache,
-                oracle,
                 ctx,
                 taxis: Vec::new(),
                 requests: RequestStore::new(),
@@ -305,7 +291,6 @@ mod tests {
             World {
                 graph: &self.graph,
                 cache: &self.cache,
-                oracle: &self.oracle,
                 taxis: &self.taxis,
                 requests: &self.requests,
             }
@@ -313,8 +298,8 @@ mod tests {
 
         fn request(&mut self, origin: u32, dest: u32, release: f64, rho: f64) -> RideRequest {
             let direct = self.cache.cost(NodeId(origin), NodeId(dest)).unwrap();
-            self.oracle.pin(NodeId(origin));
-            self.oracle.pin(NodeId(dest));
+            self.cache.pin(NodeId(origin));
+            self.cache.pin(NodeId(dest));
             let req = RideRequest {
                 id: RequestId(self.requests.len() as u32),
                 release_time: release,

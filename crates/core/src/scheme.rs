@@ -134,10 +134,7 @@ impl MtShare {
     /// (`∞` when no deadline-feasible instance exists). Pure with respect
     /// to `(req, now, world)` — no scratch state survives the call — so
     /// rows computed by parallel workers and by the sequential fallback
-    /// are bit-identical. Under `--router cch`, taxi→pickup costs are
-    /// primed through the CCH bucket many-to-one kernel so the
-    /// per-candidate DP probes (and the winner's later materialization)
-    /// hit a warm memo.
+    /// are bit-identical.
     fn score_row(&self, req: &RideRequest, now: Time, world: &World<'_>) -> WindowRow {
         let candidates = {
             let _span = self.obs.stage(Stage::CandidateSearch);
@@ -145,11 +142,6 @@ impl MtShare {
         };
         let candidate_versions: Vec<u64> =
             candidates.iter().map(|&t| world.taxi(t).route_version).collect();
-        if !candidates.is_empty() {
-            let positions: Vec<_> =
-                candidates.iter().map(|&t| world.taxi(t).position_at(now)).collect();
-            world.cache.prime_many_to_one(&positions, req.origin);
-        }
         let mut costs = Vec::with_capacity(candidates.len());
         let mut feasible = 0usize;
         {
@@ -158,7 +150,7 @@ impl MtShare {
                 let taxi = world.taxi(taxi_id);
                 match self
                     .engine
-                    .best_insertion(taxi, req, now, world, &mut |a, b| world.oracle.cost(a, b))
+                    .best_insertion(taxi, req, now, world, &mut |a, b| world.cache.cost(a, b))
                 {
                     Some(ins) => {
                         costs.push(ins.delta_s);
@@ -386,7 +378,7 @@ impl DispatchScheme for MtShare {
         spec: &SpeculativeOutcome,
     ) -> bool {
         // The speculative result depends only on the request, the frozen
-        // offline artifacts, the canonical oracle/cache costs, and the
+        // offline artifacts, the canonical cache costs, and the
         // candidates' plans. So it still holds iff the candidate set is
         // unchanged (same taxis, same deterministic order) and no
         // candidate was re-planned since the snapshot: any commit touches
@@ -481,14 +473,13 @@ mod tests {
     use mtshare_mobility::Trip;
     use mtshare_model::{RequestId, RequestStore, RideRequest, TimedRoute};
     use mtshare_road::{grid_city, GridCityConfig, NodeId};
-    use mtshare_routing::{HotNodeOracle, PathCache};
+    use mtshare_routing::PathCache;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     use std::sync::Arc;
 
     struct Sim {
         graph: Arc<RoadNetwork>,
         cache: PathCache,
-        oracle: HotNodeOracle,
         taxis: Vec<Taxi>,
         requests: RequestStore,
         scheme: MtShare,
@@ -517,14 +508,13 @@ mod tests {
                 taxis.push(Taxi::new(TaxiId(i as u32), 4, NodeId((i * 97 % 400) as u32)));
             }
             let cache = PathCache::new(graph.clone());
-            let oracle = HotNodeOracle::new(graph.clone());
-            Self { graph, cache, oracle, taxis, requests: RequestStore::new(), scheme }
+            Self { graph, cache, taxis, requests: RequestStore::new(), scheme }
         }
 
         fn make_request(&mut self, origin: u32, dest: u32, release: f64) -> RideRequest {
             let direct = self.cache.cost(NodeId(origin), NodeId(dest)).unwrap();
-            self.oracle.pin(NodeId(origin));
-            self.oracle.pin(NodeId(dest));
+            self.cache.pin(NodeId(origin));
+            self.cache.pin(NodeId(dest));
             let req = RideRequest {
                 id: RequestId(self.requests.len() as u32),
                 release_time: release,
@@ -545,7 +535,6 @@ mod tests {
                 let world = World {
                     graph: &self.graph,
                     cache: &self.cache,
-                    oracle: &self.oracle,
                     taxis: &self.taxis,
                     requests: &self.requests,
                 };
@@ -564,7 +553,6 @@ mod tests {
                     let world = World {
                         graph: &self.graph,
                         cache: &self.cache,
-                        oracle: &self.oracle,
                         taxis: &self.taxis,
                         requests: &self.requests,
                     };
@@ -582,7 +570,6 @@ mod tests {
         let world = World {
             graph: &sim.graph,
             cache: &sim.cache,
-            oracle: &sim.oracle,
             taxis: &sim.taxis,
             requests: &sim.requests,
         };
@@ -598,7 +585,6 @@ mod tests {
             let world = World {
                 graph: &sim.graph,
                 cache: &sim.cache,
-                oracle: &sim.oracle,
                 taxis: &sim.taxis,
                 requests: &sim.requests,
             };
@@ -630,7 +616,6 @@ mod tests {
             let world = World {
                 graph: &sim.graph,
                 cache: &sim.cache,
-                oracle: &sim.oracle,
                 taxis: &sim.taxis,
                 requests: &sim.requests,
             };
@@ -644,7 +629,6 @@ mod tests {
             let world = World {
                 graph: &sim.graph,
                 cache: &sim.cache,
-                oracle: &sim.oracle,
                 taxis: &sim.taxis,
                 requests: &sim.requests,
             };
@@ -661,7 +645,6 @@ mod tests {
             let world = World {
                 graph: &sim.graph,
                 cache: &sim.cache,
-                oracle: &sim.oracle,
                 taxis: &sim.taxis,
                 requests: &sim.requests,
             };
@@ -679,7 +662,6 @@ mod tests {
             let world = World {
                 graph: &sim.graph,
                 cache: &sim.cache,
-                oracle: &sim.oracle,
                 taxis: &sim.taxis,
                 requests: &sim.requests,
             };
@@ -700,7 +682,6 @@ mod tests {
             let world = World {
                 graph: &sim2.graph,
                 cache: &sim2.cache,
-                oracle: &sim2.oracle,
                 taxis: &sim2.taxis,
                 requests: &sim.requests,
             };
@@ -714,7 +695,6 @@ mod tests {
         let world = World {
             graph: &sim2.graph,
             cache: &sim2.cache,
-            oracle: &sim2.oracle,
             taxis: &small,
             requests: &sim.requests,
         };

@@ -150,8 +150,7 @@ pub trait ScheduleEngine: Send + Sync {
         for i in 0..=m {
             for j in (i + 1)..=(m + 1) {
                 let schedule = taxi.schedule.with_insertion(req, i, j);
-                let Some(eval) =
-                    evaluate_schedule(&schedule, &ectx, |a, b| world.oracle.cost(a, b))
+                let Some(eval) = evaluate_schedule(&schedule, &ectx, |a, b| world.cache.cost(a, b))
                 else {
                     continue;
                 };
@@ -380,13 +379,13 @@ impl ScheduleEngine for DtreeEngine {
             initial_load: taxi.onboard_load(world.requests),
             capacity: taxi.capacity as u32,
         };
-        // Score through the oracle's batched reader: every leg against a
+        // Score through the cache's batched reader: every leg against a
         // pinned endpoint (in steady state, all of them — active request
         // endpoints are pinned) is a direct vector read with the lock
-        // taken once, bit-identical to `oracle.cost`. Anything else
+        // taken once, bit-identical to `cache.cost`. Anything else
         // falls back to the caller's cost function, so custom cost
         // closures (tests, alternate backends) keep exact dp parity.
-        let ins = world.oracle.batch(|fast| {
+        let ins = world.cache.batch(|fast| {
             tree.score(&probe, &mut |r| world.requests.get(RequestId(r)).deadline, &mut |a, b| {
                 let (a, b) = (NodeId(a), NodeId(b));
                 fast.pinned_cost(a, b).unwrap_or_else(|| cost(a, b))
@@ -453,12 +452,11 @@ mod tests {
     use crate::request::RequestStore;
     use crate::taxi::TaxiId;
     use mtshare_road::{grid_city, GridCityConfig};
-    use mtshare_routing::{HotNodeOracle, PathCache};
+    use mtshare_routing::PathCache;
 
     struct Fixture {
         graph: Arc<mtshare_road::RoadNetwork>,
         cache: PathCache,
-        oracle: HotNodeOracle,
         requests: RequestStore,
     }
 
@@ -466,8 +464,7 @@ mod tests {
         fn new() -> Self {
             let graph = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
             let cache = PathCache::new(graph.clone());
-            let oracle = HotNodeOracle::new(graph.clone());
-            Self { graph, cache, oracle, requests: RequestStore::new() }
+            Self { graph, cache, requests: RequestStore::new() }
         }
 
         fn add_request(&mut self, origin: u32, dest: u32, rho: f64) -> RideRequest {
@@ -483,19 +480,13 @@ mod tests {
                 offline: false,
             };
             self.requests.push(req.clone());
-            self.oracle.pin(req.origin);
-            self.oracle.pin(req.destination);
+            self.cache.pin(req.origin);
+            self.cache.pin(req.destination);
             req
         }
 
         fn world<'a>(&'a self, taxis: &'a [Taxi]) -> World<'a> {
-            World {
-                graph: &self.graph,
-                cache: &self.cache,
-                oracle: &self.oracle,
-                taxis,
-                requests: &self.requests,
-            }
+            World { graph: &self.graph, cache: &self.cache, taxis, requests: &self.requests }
         }
     }
 
@@ -516,9 +507,9 @@ mod tests {
             let taxis = vec![taxi.clone()];
             let world = f.world(&taxis);
             let a =
-                dp.best_insertion(&taxis[0], &r1, 0.0, &world, &mut |x, y| world.oracle.cost(x, y));
+                dp.best_insertion(&taxis[0], &r1, 0.0, &world, &mut |x, y| world.cache.cost(x, y));
             let b = dtree
-                .best_insertion(&taxis[0], &r1, 0.0, &world, &mut |x, y| world.oracle.cost(x, y));
+                .best_insertion(&taxis[0], &r1, 0.0, &world, &mut |x, y| world.cache.cost(x, y));
             match (a, b) {
                 (None, None) => {}
                 (Some(a), Some(b)) => {
@@ -591,10 +582,10 @@ mod tests {
             engine.after_assign(&taxis[0], &world);
             // And the synced tree still scores identically to the DP.
             let a = DpEngine.best_insertion(&taxis[0], &probe_req, 10.0, &world, &mut |x, y| {
-                world.oracle.cost(x, y)
+                world.cache.cost(x, y)
             });
             let b = engine.best_insertion(&taxis[0], &probe_req, 10.0, &world, &mut |x, y| {
-                world.oracle.cost(x, y)
+                world.cache.cost(x, y)
             });
             assert_eq!(
                 a.map(|v| (v.i, v.j, v.delta_s.to_bits())),

@@ -172,14 +172,13 @@ mod tests {
     use crate::request::{RequestId, RequestStore};
     use crate::taxi::TaxiId;
     use mtshare_road::{grid_city, GridCityConfig};
-    use mtshare_routing::{HotNodeOracle, PathCache};
+    use mtshare_routing::PathCache;
     use std::sync::Arc;
 
     #[test]
     fn vacant_taxi_direct_insertion() {
         let graph = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
         let cache = PathCache::new(graph.clone());
-        let oracle = HotNodeOracle::new(graph.clone());
         let taxis = vec![Taxi::new(TaxiId(0), 4, NodeId(0))];
         let mut requests = RequestStore::new();
         let direct = cache.cost(NodeId(21), NodeId(200)).unwrap();
@@ -194,13 +193,7 @@ mod tests {
             offline: false,
         };
         requests.push(req.clone());
-        let world = World {
-            graph: &graph,
-            cache: &cache,
-            oracle: &oracle,
-            taxis: &taxis,
-            requests: &requests,
-        };
+        let world = World { graph: &graph, cache: &cache, taxis: &taxis, requests: &requests };
         let ins = best_insertion(&taxis[0], &req, 0.0, &world, |a, b| cache.cost(a, b)).unwrap();
         assert_eq!((ins.i, ins.j), (0, 1));
         let expect = cache.cost(NodeId(0), NodeId(21)).unwrap() + direct;

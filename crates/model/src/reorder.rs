@@ -140,13 +140,12 @@ mod tests {
     use crate::request::{RequestId, RequestStore};
     use crate::taxi::TaxiId;
     use mtshare_road::{grid_city, GridCityConfig};
-    use mtshare_routing::{HotNodeOracle, PathCache};
+    use mtshare_routing::PathCache;
     use std::sync::Arc;
 
     struct Fx {
         graph: Arc<mtshare_road::RoadNetwork>,
         cache: PathCache,
-        oracle: HotNodeOracle,
         requests: RequestStore,
     }
 
@@ -154,8 +153,7 @@ mod tests {
         fn new() -> Self {
             let graph = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
             let cache = PathCache::new(graph.clone());
-            let oracle = HotNodeOracle::new(graph.clone());
-            Self { graph, cache, oracle, requests: RequestStore::new() }
+            Self { graph, cache, requests: RequestStore::new() }
         }
 
         fn req(&mut self, o: u32, d: u32, rho: f64) -> RideRequest {
@@ -175,13 +173,7 @@ mod tests {
         }
 
         fn world<'a>(&'a self, taxis: &'a [Taxi]) -> World<'a> {
-            World {
-                graph: &self.graph,
-                cache: &self.cache,
-                oracle: &self.oracle,
-                taxis,
-                requests: &self.requests,
-            }
+            World { graph: &self.graph, cache: &self.cache, taxis, requests: &self.requests }
         }
     }
 

@@ -13,18 +13,18 @@ use crate::taxi::{Taxi, TaxiId};
 use crate::Time;
 use mtshare_obs::Obs;
 use mtshare_road::RoadNetwork;
-use mtshare_routing::{HotNodeOracle, Path, PathCache};
+use mtshare_routing::{Path, PathCache};
 use std::sync::Arc;
 
 /// Read-only view of the simulation handed to schemes.
 pub struct World<'a> {
     /// The road network.
     pub graph: &'a Arc<RoadNetwork>,
-    /// Shared shortest-path cache for route materialization.
+    /// The shared shortest-path cost cache (the stand-in for the paper's
+    /// cached all-pairs table; see DESIGN.md): O(1) leg costs for pinned
+    /// active-request endpoints, memoized exact queries otherwise, and
+    /// route materialization.
     pub cache: &'a PathCache,
-    /// Shared O(1) leg-cost oracle over active request endpoints (the
-    /// stand-in for the paper's cached all-pairs table; see DESIGN.md).
-    pub oracle: &'a HotNodeOracle,
     /// Every taxi, indexed by [`TaxiId`].
     pub taxis: &'a [Taxi],
     /// Every request revealed so far, indexed by request id.
@@ -383,16 +383,9 @@ mod tests {
     fn trait_object_safety_and_defaults() {
         let graph = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
         let cache = PathCache::new(graph.clone());
-        let oracle = HotNodeOracle::new(graph.clone());
         let taxis = vec![Taxi::new(TaxiId(0), 4, NodeId(0))];
         let requests = RequestStore::new();
-        let world = World {
-            graph: &graph,
-            cache: &cache,
-            oracle: &oracle,
-            taxis: &taxis,
-            requests: &requests,
-        };
+        let world = World { graph: &graph, cache: &cache, taxis: &taxis, requests: &requests };
         let mut s: Box<dyn DispatchScheme> = Box::new(Greedy);
         s.install(&world);
         assert_eq!(s.name(), "greedy");

@@ -66,7 +66,11 @@ const MAX_WORKERS: usize = 64;
 /// counters; all zero unless `--router cch`).
 /// v10: the plain contraction-hierarchy router is gone, and with it the
 /// `profiling.ch` block.
-pub const SUMMARY_SCHEMA: &str = "mtshare-obs-summary/v10";
+/// v11: one cost cache. `profiling.oracle` now reports the path cache's
+/// pinned vectors and lost `memo_hits`, `searches` and `hit_ratio`;
+/// `profiling.path_cache` lost `evictions`. `profiling.cch.bucket_sweeps`
+/// and `bucket_sources` stay but read 0 (dispatch no longer primes).
+pub const SUMMARY_SCHEMA: &str = "mtshare-obs-summary/v11";
 
 /// Static facts about the run, reported verbatim in the summary.
 #[derive(Debug, Clone, Default)]
@@ -85,26 +89,20 @@ pub struct RunInfo {
 }
 
 /// End-of-run statistics pulled from the shared routing structures
-/// (`PathCache`, `HotNodeOracle`). Plain integers so this crate does
-/// not depend on `mtshare-routing`.
+/// (`PathCache` and its customizable hierarchy, the scheduler). Plain
+/// integers so this crate does not depend on `mtshare-routing`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExternalStats {
-    /// Path-cache hits.
+    /// Path-cache memo hits.
     pub cache_hits: u64,
-    /// Path-cache misses.
+    /// Path-cache memo misses (backend searches).
     pub cache_misses: u64,
-    /// Path-cache evictions.
-    pub cache_evictions: u64,
-    /// Oracle answers served from pinned hot-node vectors.
-    pub oracle_vector_hits: u64,
-    /// Oracle answers served from the memo table.
-    pub oracle_memo_hits: u64,
-    /// Oracle fallback graph searches.
-    pub oracle_searches: u64,
-    /// Hot-node vector computations (pin events).
-    pub oracle_pin_computes: u64,
+    /// Path-cache answers served from pinned hot-node vectors.
+    pub pin_vector_hits: u64,
+    /// Hot-node one-to-all vector computations (pins and re-pins).
+    pub pin_computes: u64,
     /// Hot-node vectors freed (refcount reached zero).
-    pub oracle_evictions: u64,
+    pub pin_evictions: u64,
     /// Customizable-hierarchy point-to-point queries (0 unless
     /// `--router cch`).
     pub cch_p2p_queries: u64,
@@ -583,7 +581,7 @@ impl Obs {
         }
     }
 
-    /// Sets the end-of-run cache/oracle statistics.
+    /// Sets the end-of-run cache/scheduler statistics.
     pub fn set_external_stats(&self, stats: ExternalStats) {
         if let Some(core) = &self.core {
             *core.external.lock().expect("obs external poisoned") = stats;
@@ -701,27 +699,15 @@ impl Obs {
             if cache_total == 0 { 0.0 } else { ext.cache_hits as f64 / cache_total as f64 };
         let _ = write!(
             s,
-            r#""path_cache":{{"hits":{},"misses":{},"evictions":{},"hit_ratio":{}}},"#,
+            r#""path_cache":{{"hits":{},"misses":{},"hit_ratio":{}}},"#,
             ext.cache_hits,
             ext.cache_misses,
-            ext.cache_evictions,
             json::fmt_f64(cache_ratio)
         );
-        let oracle_hits = ext.oracle_vector_hits + ext.oracle_memo_hits;
-        let oracle_ratio = if ext.oracle_searches == 0 {
-            0.0
-        } else {
-            oracle_hits as f64 / ext.oracle_searches as f64
-        };
         let _ = write!(
             s,
-            r#""oracle":{{"vector_hits":{},"memo_hits":{},"searches":{},"pin_computes":{},"evictions":{},"hit_ratio":{}}},"#,
-            ext.oracle_vector_hits,
-            ext.oracle_memo_hits,
-            ext.oracle_searches,
-            ext.oracle_pin_computes,
-            ext.oracle_evictions,
-            json::fmt_f64(oracle_ratio)
+            r#""oracle":{{"vector_hits":{},"pin_computes":{},"evictions":{}}},"#,
+            ext.pin_vector_hits, ext.pin_computes, ext.pin_evictions
         );
         let _ = write!(
             s,

@@ -306,11 +306,11 @@ pub fn validate_summary(text: &str) -> Result<(), String> {
         require_num(counters, "counters", f)?;
     }
     let cache = prof.get("path_cache").ok_or("profiling: missing \"path_cache\"")?;
-    for f in ["hits", "misses", "evictions", "hit_ratio"] {
+    for f in ["hits", "misses", "hit_ratio"] {
         require_num(cache, "path_cache", f)?;
     }
     let oracle = prof.get("oracle").ok_or("profiling: missing \"oracle\"")?;
-    for f in ["vector_hits", "memo_hits", "searches", "pin_computes", "evictions", "hit_ratio"] {
+    for f in ["vector_hits", "pin_computes", "evictions"] {
         require_num(oracle, "oracle", f)?;
     }
     let cch = prof.get("cch").ok_or("profiling: missing \"cch\"")?;

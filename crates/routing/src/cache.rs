@@ -2,30 +2,39 @@
 //!
 //! The paper precomputes the all-pairs shortest paths of the Chengdu graph
 //! and serves them from memory so that every scheme enjoys O(1) queries
-//! (Sec. V-A4). All-pairs storage is infeasible beyond toy graphs, so we
-//! provide the equivalent amortized behaviour: a memoizing point-to-point
-//! cache backed by bidirectional Dijkstra, shared by *all* schemes so the
-//! response-time comparison stays fair.
+//! (Sec. IV-C, V-A4). All-pairs storage is infeasible beyond toy graphs, so
+//! [`PathCache`] provides the equivalent amortized behaviour in two layers,
+//! shared by *all* schemes so the response-time comparison stays fair:
 //!
-//! The memo is split into lock-striped shards keyed by the source node so
-//! that the speculative batch-dispatch workers can probe and fill it
-//! concurrently without serializing on one mutex. Each shard owns its own
-//! search engine (the engine is per-query scratch state, so one per shard
-//! keeps a miss from blocking other shards). Both the search and the memo
-//! quantize costs to `f32`, which makes every answer independent of lookup
-//! history and thread interleaving: hit or miss, a query returns the same
-//! canonical value.
+//! - **Pinned vectors.** Insertion-based scheduling only ever touches a
+//!   small hot set: legs run *from* a taxi position or a scheduled event
+//!   node *to* another event node, and event nodes are exactly the
+//!   origins/destinations of active requests. [`PathCache::pin`] stores,
+//!   per hot node, one forward and one backward one-to-all vector (two
+//!   Dijkstras), reference-counted, so while a request is active every leg
+//!   cost involving its endpoints is a single array read.
+//!   [`PathCache::batch`] answers a burst of such reads under one lock.
+//! - **Memo.** Any other pair is a point-to-point query against the exact
+//!   backend, memoized in lock-striped shards keyed by the source node so
+//!   the speculative batch-dispatch workers can probe and fill it
+//!   concurrently. Each shard owns its own search engine (per-query
+//!   scratch state), so a miss never blocks other shards.
 //!
-//! # Pluggable exact backend
+//! [`PathCache::cost`] checks, in order: `a == b`, the pinned backward
+//! vector of `b`, the pinned forward vector of `a`, the memo, and finally
+//! the backend.
+//!
+//! # Exact, backend-independent answers
 //!
 //! Cost misses are answered by a [`RouterBackend`]: plain bidirectional
-//! Dijkstra (the default) or a [`CustomizableCh`]. Both are exact, and
-//! because edge costs live on the dyadic grid
-//! (`mtshare_road::COST_QUANTUM_S`) they return *bit-identical* values,
-//! so switching backends can never change simulator behaviour — only
-//! speed. Under the CCH backend, [`PathCache::prime_many_to_one`]
-//! additionally batches "K taxi positions → one pickup" probes through
-//! the [`CchBuckets`] kernel — one downward sweep instead of K searches.
+//! Dijkstra (the default) or a [`CustomizableCh`]. Edge costs live on the
+//! dyadic grid (`mtshare_road::COST_QUANTUM_S`), so any path under 2^24
+//! quanta (about 72 h) has an exact `f32` cost: the pinned vectors,
+//! bidirectional Dijkstra and the hierarchy return the *same bits* for a
+//! pair. Hence an answer is a function of `(a, b)` and the metric alone —
+//! independent of the backend, of which nodes happen to be pinned, of
+//! lookup history and of thread interleaving — and switching backends can
+//! never change simulator behaviour, only speed.
 //!
 //! Paths always come from bidirectional Dijkstra, regardless of backend:
 //! when several shortest paths tie, a hierarchy and bidirectional search
@@ -38,17 +47,18 @@
 //!
 //! A regional traffic shift changes the metric mid-run. Both backends
 //! support [`PathCache::recustomize`]: swap in the shifted graph
-//! (re-customizing the CCH metric in milliseconds), clear the memo, and
-//! every subsequent answer — cost, prime, or path — is exact on the
-//! *shifted* graph.
+//! (re-customizing the CCH metric in milliseconds), clear the memo,
+//! recompute every pinned vector, and every subsequent answer — cost,
+//! pinned read or path — is exact on the *shifted* graph.
 
 use crate::bidirectional::BidirDijkstra;
-use crate::cch::{CchBuckets, CchQuery, CchStats, CustomizableCh};
+use crate::cch::{CchQuery, CchStats, CustomizableCh};
+use crate::dijkstra::Dijkstra;
 use crate::path::Path;
 use mtshare_road::{NodeId, RoadNetwork};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use rustc_hash::FxHashMap;
-use std::collections::hash_map::Entry;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// The exact engine a [`PathCache`] uses to answer cost misses.
@@ -77,20 +87,24 @@ impl RouterBackend {
 /// comfortably exceeds the worker counts the batch dispatcher uses.
 const SHARDS: usize = 16;
 
-/// Hit/miss/evict counters of a [`PathCache`].
+/// Query and pin counters of a [`PathCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Queries answered from the memo.
     pub hits: u64,
     /// Queries that ran a graph search.
     pub misses: u64,
-    /// Entries dropped by [`PathCache::trim_to`]. Zero unless a caller
-    /// bounds the memo (the default policy caches forever).
-    pub evictions: u64,
+    /// Queries answered from a pinned vector.
+    pub vector_hits: u64,
+    /// One-to-all computations performed for pins (two per pinned node,
+    /// and two per pinned node at each re-customization).
+    pub pin_computes: u64,
+    /// Pinned vectors freed because their refcount dropped to zero.
+    pub pin_evictions: u64,
 }
 
 impl CacheStats {
-    /// Hit ratio in [0, 1]; 0 when no queries were made.
+    /// Memo hit ratio in [0, 1]; 0 when no memo query was made.
     pub fn hit_ratio(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -107,17 +121,37 @@ struct CacheShard {
     engine: BidirDijkstra,
     /// CCH query scratch when the backend is [`RouterBackend::Cch`].
     cch: Option<CchQuery>,
-    stats: CacheStats,
+    hits: u64,
+    misses: u64,
 }
 
-/// Thread-safe memoizing shortest-path oracle over a road network.
+#[derive(Debug)]
+struct PinnedEntry {
+    refs: u32,
+    /// Forward: cost from the pinned node to every vertex.
+    fwd: Vec<f32>,
+    /// Backward: cost from every vertex to the pinned node.
+    bwd: Vec<f32>,
+}
+
+#[derive(Debug, Default)]
+struct PinCounters {
+    vector_hits: AtomicU64,
+    pin_computes: AtomicU64,
+    evictions: AtomicU64,
+}
+
+/// Thread-safe shortest-path cost cache over a road network: pinned
+/// hot-node vectors in front of a memoizing exact backend.
 ///
 /// Costs are cached until the metric changes: the paper assumes static
 /// traffic (Sec. III-A), and under `--disruptions` a regional traffic
-/// shift triggers [`PathCache::recustomize`], which clears the memo.
-/// Paths are *not* cached — they are only needed when a schedule is
-/// actually committed, which is orders of magnitude rarer than cost
-/// probes.
+/// shift triggers [`PathCache::recustomize`], which clears the memo and
+/// recomputes the pins. Paths are *not* cached — they are only needed when
+/// a schedule is actually committed, which is orders of magnitude rarer
+/// than cost probes.
+///
+/// Clones share all state.
 #[derive(Debug, Clone)]
 pub struct PathCache {
     /// The graph answers are exact on *right now* — swapped wholesale by
@@ -125,7 +159,12 @@ pub struct PathCache {
     live: Arc<RwLock<Arc<RoadNetwork>>>,
     shards: Arc<[Mutex<CacheShard>; SHARDS]>,
     cch: Option<Arc<CustomizableCh>>,
-    buckets: Option<Arc<Mutex<CchBuckets>>>,
+    /// Pinned vectors by node id. Reads share; pins/unpins are rare and
+    /// exclusive.
+    pinned: Arc<RwLock<FxHashMap<u32, PinnedEntry>>>,
+    /// Scratch engine for pin computations (pins are serialized anyway).
+    pin_engine: Arc<Mutex<Dijkstra>>,
+    pin_stats: Arc<PinCounters>,
 }
 
 impl PathCache {
@@ -158,11 +197,18 @@ impl PathCache {
                 costs: FxHashMap::default(),
                 engine: BidirDijkstra::new(&graph),
                 cch: cch.as_ref().map(|h| CchQuery::new(h.clone())),
-                stats: CacheStats::default(),
+                hits: 0,
+                misses: 0,
             })
         });
-        let buckets = cch.as_ref().map(|h| Arc::new(Mutex::new(CchBuckets::new(h.clone()))));
-        Self { live: Arc::new(RwLock::new(graph)), shards: Arc::new(shards), cch, buckets }
+        Self {
+            pin_engine: Arc::new(Mutex::new(Dijkstra::new(&graph))),
+            live: Arc::new(RwLock::new(graph)),
+            shards: Arc::new(shards),
+            cch,
+            pinned: Arc::default(),
+            pin_stats: Arc::default(),
+        }
     }
 
     /// Name of the active backend (`"bidir"` or `"cch"`).
@@ -188,7 +234,9 @@ impl PathCache {
     /// Swaps the metric: all subsequent answers are exact on `graph`
     /// (same topology as the current graph, different edge costs — e.g.
     /// from [`mtshare_road::apply_traffic_shifts`]). Re-customizes the
-    /// CCH metric when that backend is active and clears the memo.
+    /// CCH metric when that backend is active, clears the memo, and
+    /// recomputes every pinned vector eagerly in ascending node-id order.
+    /// Refcounts survive, so active requests keep their O(1) fast path.
     /// Returns the CCH metric generation, if any.
     ///
     /// Answers already handed out were exact on the previous metric;
@@ -205,9 +253,19 @@ impl PathCache {
             "re-customization graph must share the topology"
         );
         let generation = self.cch.as_ref().map(|h| h.customize(&graph));
-        *self.live.write() = graph;
+        *self.live.write() = graph.clone();
         for shard in self.shards.iter() {
             shard.lock().costs.clear();
+        }
+        let mut pinned = self.pinned.write();
+        let mut nodes: Vec<u32> = pinned.keys().copied().collect();
+        nodes.sort_unstable();
+        let mut engine = self.pin_engine.lock();
+        for v in nodes {
+            let e = pinned.get_mut(&v).expect("key collected above");
+            engine.one_to_all(&graph, NodeId(v), &mut e.fwd);
+            engine.all_to_one(&graph, NodeId(v), &mut e.bwd);
+            self.pin_stats.pin_computes.fetch_add(2, Relaxed);
         }
         generation
     }
@@ -232,19 +290,63 @@ impl PathCache {
         &self.shards[a.0 as usize & (SHARDS - 1)]
     }
 
+    /// Pins `node`, computing its forward + backward distance vectors if
+    /// not already resident. Pins are reference-counted.
+    pub fn pin(&self, node: NodeId) {
+        let mut pinned = self.pinned.write();
+        if let Some(e) = pinned.get_mut(&node.0) {
+            e.refs += 1;
+            return;
+        }
+        let graph = self.graph();
+        let mut fwd = Vec::new();
+        let mut bwd = Vec::new();
+        {
+            let mut engine = self.pin_engine.lock();
+            engine.one_to_all(&graph, node, &mut fwd);
+            engine.all_to_one(&graph, node, &mut bwd);
+        }
+        self.pin_stats.pin_computes.fetch_add(2, Relaxed);
+        pinned.insert(node.0, PinnedEntry { refs: 1, fwd, bwd });
+    }
+
+    /// Releases one pin of `node`; vectors are freed when the count drops
+    /// to zero. Unpinning an unpinned node is a no-op.
+    pub fn unpin(&self, node: NodeId) {
+        let mut pinned = self.pinned.write();
+        if let Some(e) = pinned.get_mut(&node.0) {
+            e.refs -= 1;
+            if e.refs == 0 {
+                pinned.remove(&node.0);
+                self.pin_stats.evictions.fetch_add(1, Relaxed);
+            }
+        }
+    }
+
+    /// Number of currently pinned nodes.
+    pub fn pinned_count(&self) -> usize {
+        self.pinned.read().len()
+    }
+
     /// Shortest-path cost in seconds from `a` to `b`, or `None` when
-    /// unreachable. Unreachability is memoized too.
+    /// unreachable: a pinned-vector read when either endpoint is pinned,
+    /// else a memoized backend query (unreachability is memoized too).
     pub fn cost(&self, a: NodeId, b: NodeId) -> Option<f64> {
         if a == b {
             return Some(0.0);
         }
+        // Recursive: `cost` may run inside `batch`, which holds a read.
+        if let Some(c) = pinned_lookup(&self.pinned.read_recursive(), a, b) {
+            self.pin_stats.vector_hits.fetch_add(1, Relaxed);
+            return finite(c);
+        }
         let key = Self::key(a, b);
         let mut shard = self.shard(a).lock();
         if let Some(&c) = shard.costs.get(&key) {
-            shard.stats.hits += 1;
-            return c.is_finite().then_some(c as f64);
+            shard.hits += 1;
+            return finite(c);
         }
-        shard.stats.misses += 1;
+        shard.misses += 1;
         let cost = if let Some(q) = shard.cch.as_mut() {
             q.cost(a, b)
         } else {
@@ -255,41 +357,24 @@ impl PathCache {
         cost
     }
 
-    /// Batch-primes the memo with the costs from every `source` to
-    /// `target` using the bucket many-to-one kernel — one downward sweep
-    /// instead of one search per source. No-op (returns 0) under the
-    /// bidirectional backend, where there is nothing cheaper than the
-    /// per-pair search the memo already does; the values installed are
-    /// bit-identical to what per-pair queries would produce, so callers
-    /// never observe which path filled the memo. Returns the number of
-    /// pairs computed (already-memoized pairs are skipped).
-    pub fn prime_many_to_one(&self, sources: &[NodeId], target: NodeId) -> usize {
-        let Some(buckets) = &self.buckets else {
-            return 0;
-        };
-        let mut missing: Vec<NodeId> = Vec::with_capacity(sources.len());
-        for &s in sources {
-            if s == target {
-                continue;
-            }
-            if !self.shard(s).lock().costs.contains_key(&Self::key(s, target)) {
-                missing.push(s);
-            }
+    /// Runs `f` with a [`PinnedReader`]: a borrowed view of the pinned
+    /// vectors that answers the pinned part of [`PathCache::cost`] without
+    /// re-acquiring the lock or touching an atomic per query. Vector hits
+    /// are counted locally and folded into the stats once at the end.
+    ///
+    /// Intended for query bursts that probe many legs against the same
+    /// pin set — e.g. scoring one insertion candidate. The read lock is
+    /// held for the whole closure, recursion-tolerant, so `f` may fall
+    /// back to `cost()` for unpinned pairs; callers must not
+    /// `pin`/`unpin` from inside `f` or concurrently with it (dispatch
+    /// already orders all pinning before scoring).
+    pub fn batch<R>(&self, f: impl FnOnce(&mut PinnedReader<'_>) -> R) -> R {
+        let mut reader = PinnedReader { pinned: self.pinned.read_recursive(), hits: 0 };
+        let r = f(&mut reader);
+        if reader.hits > 0 {
+            self.pin_stats.vector_hits.fetch_add(reader.hits, Relaxed);
         }
-        missing.sort_unstable();
-        missing.dedup();
-        if missing.is_empty() {
-            return 0;
-        }
-        let costs = buckets.lock().many_to_one(&missing, target);
-        for (&s, c) in missing.iter().zip(&costs) {
-            let mut shard = self.shard(s).lock();
-            if let Entry::Vacant(slot) = shard.costs.entry(Self::key(s, target)) {
-                slot.insert(c.map_or(f32::INFINITY, |c| c as f32));
-                shard.stats.misses += 1;
-            }
-        }
-        missing.len()
+        r
     }
 
     /// Shortest path from `a` to `b` (computed fresh; its cost is memoized).
@@ -311,42 +396,20 @@ impl PathCache {
         }
     }
 
-    /// Snapshot of hit/miss/evict counters, aggregated over all shards.
+    /// Snapshot of the counters, memo counts aggregated over all shards.
     pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
+        let mut total = CacheStats {
+            vector_hits: self.pin_stats.vector_hits.load(Relaxed),
+            pin_computes: self.pin_stats.pin_computes.load(Relaxed),
+            pin_evictions: self.pin_stats.evictions.load(Relaxed),
+            ..CacheStats::default()
+        };
         for shard in self.shards.iter() {
-            let s = shard.lock().stats;
+            let s = shard.lock();
             total.hits += s.hits;
             total.misses += s.misses;
-            total.evictions += s.evictions;
         }
         total
-    }
-
-    /// Bounds the memo to at most `max_entries`, dropping whole shards'
-    /// overflow (entries are evicted in unspecified order; the memo only
-    /// accelerates, it never changes answers). Returns how many entries
-    /// were evicted. Deployments replaying city-scale traces call this
-    /// between episodes to cap resident memory.
-    pub fn trim_to(&self, max_entries: usize) -> u64 {
-        let per_shard = max_entries / SHARDS;
-        let mut evicted = 0u64;
-        for shard in self.shards.iter() {
-            let mut s = shard.lock();
-            if s.costs.len() > per_shard {
-                let excess = (s.costs.len() - per_shard) as u64;
-                if per_shard == 0 {
-                    s.costs.clear();
-                } else {
-                    let keep: Vec<u64> = s.costs.keys().copied().take(per_shard).collect();
-                    let kept: FxHashMap<u64, f32> = keep.iter().map(|k| (*k, s.costs[k])).collect();
-                    s.costs = kept;
-                }
-                s.stats.evictions += excess;
-                evicted += excess;
-            }
-        }
-        evicted
     }
 
     /// Number of memoized entries.
@@ -359,18 +422,60 @@ impl PathCache {
         self.len() == 0
     }
 
-    /// Approximate resident memory of the memo in bytes.
+    /// Approximate resident memory in bytes: pinned vectors plus memo.
     pub fn memory_bytes(&self) -> usize {
+        let pinned = self.pinned.read().len() * (2 * self.live.read().node_count() * 4 + 16);
         // key (8) + value (4) + hashbrown overhead ≈ 1 ctrl byte + padding.
-        self.shards.iter().map(|s| s.lock().costs.capacity() * (8 + 4 + 2)).sum()
+        pinned + self.shards.iter().map(|s| s.lock().costs.capacity() * (8 + 4 + 2)).sum::<usize>()
+    }
+}
+
+/// The pinned-vector entry for `a → b` when either endpoint is pinned,
+/// in the fixed lookup order: the backward vector of `b`, then the
+/// forward vector of `a`.
+#[inline]
+fn pinned_lookup(pinned: &FxHashMap<u32, PinnedEntry>, a: NodeId, b: NodeId) -> Option<f32> {
+    match pinned.get(&b.0) {
+        Some(e) => Some(e.bwd[a.index()]),
+        None => pinned.get(&a.0).map(|e| e.fwd[b.index()]),
+    }
+}
+
+/// A stored cost as an answer: `∞` encodes unreachable.
+#[inline]
+fn finite(c: f32) -> Option<f64> {
+    c.is_finite().then_some(c as f64)
+}
+
+/// Borrowed fast-path view of a cache's pinned vectors — see
+/// [`PathCache::batch`].
+pub struct PinnedReader<'a> {
+    pinned: RwLockReadGuard<'a, FxHashMap<u32, PinnedEntry>>,
+    hits: u64,
+}
+
+impl PinnedReader<'_> {
+    /// The pinned part of [`PathCache::cost`]: `Some(answer)` when
+    /// `a == b` or either endpoint is pinned, reading the same vector
+    /// entry in the same order, so the answer is bit-identical. Returns
+    /// `None` when the pair would need the memo/backend path; the caller
+    /// falls back to its full cost function (nested `cost()` reads are
+    /// safe — see [`PathCache::batch`]).
+    #[inline]
+    pub fn pinned_cost(&mut self, a: NodeId, b: NodeId) -> Option<Option<f64>> {
+        if a == b {
+            return Some(Some(0.0));
+        }
+        let c = pinned_lookup(&self.pinned, a, b)?;
+        self.hits += 1;
+        Some(finite(c))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra::Dijkstra;
-    use mtshare_road::{grid_city, GridCityConfig};
+    use mtshare_road::{apply_traffic_shifts, grid_city, GridCityConfig, TrafficShiftSpec};
 
     fn cache() -> (Arc<RoadNetwork>, PathCache) {
         let g = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
@@ -378,15 +483,30 @@ mod tests {
         (g, c)
     }
 
+    fn bits(c: Option<f64>) -> Option<u64> {
+        c.map(f64::to_bits)
+    }
+
+    fn shift(g: &RoadNetwork, center: u32, radius_m: f64, factor: f64) -> Arc<RoadNetwork> {
+        let spec = TrafficShiftSpec {
+            center: NodeId(center),
+            radius_m,
+            factor,
+            start_s: 0.0,
+            duration_s: 1.0,
+        };
+        Arc::new(apply_traffic_shifts(g, &[spec]).unwrap())
+    }
+
     #[test]
     fn cost_matches_dijkstra_and_hits_on_repeat() {
         let (g, c) = cache();
         let mut d = Dijkstra::new(&g);
-        let want = d.cost(&g, NodeId(0), NodeId(399)).unwrap();
-        let got1 = c.cost(NodeId(0), NodeId(399)).unwrap();
-        let got2 = c.cost(NodeId(0), NodeId(399)).unwrap();
-        assert!((got1 - want).abs() < 1e-2);
-        assert_eq!(got1, got2);
+        let want = d.cost(&g, NodeId(0), NodeId(399));
+        let got1 = c.cost(NodeId(0), NodeId(399));
+        let got2 = c.cost(NodeId(0), NodeId(399));
+        assert_eq!(bits(got1), bits(want));
+        assert_eq!(bits(got1), bits(got2));
         let s = c.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
@@ -397,7 +517,10 @@ mod tests {
     fn self_cost_is_zero_and_free() {
         let (_, c) = cache();
         assert_eq!(c.cost(NodeId(5), NodeId(5)), Some(0.0));
-        assert_eq!(c.stats().misses, 0);
+        c.pin(NodeId(5));
+        assert_eq!(c.cost(NodeId(5), NodeId(5)), Some(0.0));
+        let s = c.stats();
+        assert_eq!((s.misses, s.vector_hits), (0, 0));
     }
 
     #[test]
@@ -415,7 +538,7 @@ mod tests {
         let (_, c) = cache();
         let p = c.path(NodeId(3), NodeId(200)).unwrap();
         let cost = c.cost(NodeId(3), NodeId(200)).unwrap();
-        assert!((p.cost_s - cost).abs() < 1e-2);
+        assert_eq!(p.cost_s.to_bits(), cost.to_bits());
     }
 
     #[test]
@@ -430,6 +553,10 @@ mod tests {
         assert_eq!(c.cost(NodeId(1), NodeId(0)), None);
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
+        // A pinned vector encodes unreachability as ∞ and answers `None`.
+        c.pin(NodeId(0));
+        assert_eq!(c.cost(NodeId(1), NodeId(0)), None);
+        assert_eq!(c.stats().vector_hits, 1);
     }
 
     #[test]
@@ -438,33 +565,128 @@ mod tests {
         c.warm(&[NodeId(0), NodeId(1)], &[NodeId(10), NodeId(11)]);
         assert_eq!(c.len(), 4);
         assert!(!c.is_empty());
-        assert!(c.memory_bytes() > 0);
+        let memo_bytes = c.memory_bytes();
+        assert!(memo_bytes > 0);
+        c.pin(NodeId(3));
+        assert_eq!(c.memory_bytes(), memo_bytes + 2 * 400 * 4 + 16);
     }
 
     #[test]
-    fn trim_to_counts_evictions_and_keeps_answers_correct() {
-        let (g, c) = cache();
-        let sources: Vec<NodeId> = (0..8).map(NodeId).collect();
-        let targets: Vec<NodeId> = (390..399).map(NodeId).collect();
-        c.warm(&sources, &targets);
-        let before = c.len();
-        assert!(before > 0);
-        let evicted = c.trim_to(0);
-        assert_eq!(evicted, before as u64);
-        assert_eq!(c.stats().evictions, evicted);
-        assert!(c.is_empty());
-        // A re-query after eviction still returns the canonical value.
+    fn pinned_vectors_match_unpinned_queries_bit_for_bit() {
+        // A pinned source (forward vector), a pinned target (backward
+        // vector) and an unpinned pair (memo + backend), under both
+        // backends, against a pin-free cache and plain Dijkstra.
+        let g = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
+        let cch = Arc::new(crate::cch::CustomizableCh::build(&g));
         let mut d = Dijkstra::new(&g);
-        let want = d.cost(&g, NodeId(0), NodeId(390)).unwrap();
-        let got = c.cost(NodeId(0), NodeId(390)).unwrap();
-        assert!((got - want).abs() < 1e-2);
-        // Trimming to a generous bound evicts nothing.
-        assert_eq!(c.trim_to(1 << 20), 0);
+        for backend in [RouterBackend::Bidir, RouterBackend::Cch(cch)] {
+            let name = backend.name();
+            let pinned = PathCache::with_backend(g.clone(), backend.clone());
+            let plain = PathCache::with_backend(g.clone(), backend);
+            pinned.pin(NodeId(0));
+            pinned.pin(NodeId(399));
+            let pairs = [
+                (NodeId(0), NodeId(250)),  // pinned source
+                (NodeId(17), NodeId(399)), // pinned target
+                (NodeId(40), NodeId(41)),  // unpinned pair
+            ];
+            for (a, b) in pairs {
+                let want = bits(d.cost(&g, a, b));
+                assert_eq!(bits(pinned.cost(a, b)), want, "{name} {a:?}->{b:?}");
+                assert_eq!(bits(plain.cost(a, b)), want, "{name} {a:?}->{b:?}");
+            }
+            let s = pinned.stats();
+            assert_eq!((s.vector_hits, s.misses, s.pin_computes), (2, 1, 4), "{name}");
+            assert_eq!(plain.stats().vector_hits, 0, "{name}");
+        }
+    }
+
+    #[test]
+    fn pinning_extra_nodes_never_changes_an_answer() {
+        // The determinism contract of speculative dispatch: the batch path
+        // pins whole batches of endpoints up front, the sequential path
+        // pins one request at a time, and both must read identical costs.
+        let (_, c) = cache();
+        let memo = bits(c.cost(NodeId(17), NodeId(399)));
+        c.pin(NodeId(399));
+        assert_eq!(bits(c.cost(NodeId(17), NodeId(399))), memo);
+        c.pin(NodeId(17)); // source pinned too: still the same bits
+        assert_eq!(bits(c.cost(NodeId(17), NodeId(399))), memo);
+        c.unpin(NodeId(399)); // now only the forward vector answers
+        assert_eq!(bits(c.cost(NodeId(17), NodeId(399))), memo);
+        c.pin(NodeId(250)); // unrelated pin
+        assert_eq!(bits(c.cost(NodeId(17), NodeId(399))), memo);
+    }
+
+    #[test]
+    fn refcounted_pinning() {
+        let (_, c) = cache();
+        c.pin(NodeId(7));
+        c.pin(NodeId(7));
+        assert_eq!(c.pinned_count(), 1);
+        assert_eq!(c.stats().pin_computes, 2); // one fwd + one bwd, second pin free
+        c.unpin(NodeId(7));
+        assert_eq!(c.pinned_count(), 1);
+        assert_eq!(c.stats().pin_evictions, 0);
+        c.unpin(NodeId(7));
+        assert_eq!(c.pinned_count(), 0);
+        assert_eq!(c.stats().pin_evictions, 1);
+        c.unpin(NodeId(7)); // no-op
+        assert_eq!(c.pinned_count(), 0);
+        assert_eq!(c.stats().pin_evictions, 1);
+    }
+
+    #[test]
+    fn batch_reader_matches_cost_bit_for_bit() {
+        let (_, c) = cache();
+        c.pin(NodeId(0));
+        c.pin(NodeId(399));
+        let pairs = [(NodeId(5), NodeId(5)), (NodeId(17), NodeId(399)), (NodeId(0), NodeId(250))];
+        for (a, b) in pairs {
+            let want = c.cost(a, b);
+            let got = c.batch(|r| r.pinned_cost(a, b)).expect("either endpoint pinned or a == b");
+            assert_eq!(bits(got), bits(want), "{a:?}->{b:?}");
+        }
+        // Neither endpoint pinned: the reader defers to the full path,
+        // which may run nested inside the batch.
+        let nested = c.batch(|r| {
+            assert!(r.pinned_cost(NodeId(40), NodeId(41)).is_none());
+            c.cost(NodeId(40), NodeId(41))
+        });
+        assert_eq!(bits(nested), bits(c.cost(NodeId(40), NodeId(41))));
+        // Hits were folded into the shared stats exactly once per answer.
+        assert_eq!(c.stats().vector_hits, 2 * 2); // (17,399) and (0,250), via cost + batch
+    }
+
+    #[test]
+    fn recustomize_recomputes_pins_and_drops_the_memo() {
+        let (g, c) = cache();
+        c.pin(NodeId(399));
+        let _ = c.cost(NodeId(40), NodeId(41)); // memoized search
+        let before = c.cost(NodeId(0), NodeId(399)).unwrap();
+        let computes = c.stats().pin_computes;
+
+        let shifted = shift(&g, 0, 800.0, 3.0);
+        assert_eq!(c.recustomize(shifted.clone()), None);
+        assert_eq!(c.graph().digest(), shifted.digest());
+        assert_eq!(c.pinned_count(), 1);
+        assert!(c.is_empty());
+        assert_eq!(c.stats().pin_computes, computes + 2);
+
+        // Pinned fast path and memo/search path both answer on the new
+        // metric, bit-identical to a fresh cache over the shifted graph.
+        let fresh = PathCache::new(shifted);
+        let after = c.cost(NodeId(0), NodeId(399)).unwrap();
+        assert!(after > before, "slowdown region must lengthen the trip");
+        assert_eq!(bits(Some(after)), bits(fresh.cost(NodeId(0), NodeId(399))));
+        assert_eq!(bits(c.cost(NodeId(40), NodeId(41))), bits(fresh.cost(NodeId(40), NodeId(41))));
+        // The refcount survived: one unpin frees the vectors.
+        c.unpin(NodeId(399));
+        assert_eq!(c.pinned_count(), 0);
     }
 
     #[test]
     fn cch_backend_matches_bidir_and_recustomizes() {
-        use mtshare_road::{apply_traffic_shifts, TrafficShiftSpec};
         let g = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
         let cch = Arc::new(crate::cch::CustomizableCh::build(&g));
         let cached = PathCache::with_backend(g.clone(), RouterBackend::Cch(cch));
@@ -474,52 +696,27 @@ mod tests {
         assert!(cached.customizable().is_some());
         assert!(bidir.cch_stats().is_none());
 
-        // Bucket priming installs exactly the values per-pair queries find.
         let sources: Vec<NodeId> = (0..24).map(|i| NodeId(i * 13 % 400)).collect();
         let target = NodeId(397);
-        let computed = cached.prime_many_to_one(&sources, target);
-        // `bidir` never primes: the bucket kernel needs a hierarchy.
-        assert_eq!(bidir.prime_many_to_one(&sources, target), 0);
         for &s in &sources {
-            assert_eq!(cached.cost(s, target), bidir.cost(s, target), "{s}");
+            assert_eq!(bits(cached.cost(s, target)), bits(bidir.cost(s, target)), "{s}");
         }
-        // Every probe above hit the primed memo (sources are distinct and
-        // none equals the target, so all were bucket-computed).
-        assert_eq!(computed, sources.len());
-        assert_eq!(cached.stats().hits as usize, sources.len());
-        assert_eq!(cached.cch_stats().unwrap().bucket_sweeps, 1);
-        // Re-priming the same batch computes nothing new.
-        assert_eq!(cached.prime_many_to_one(&sources, target), 0);
-        assert_eq!(cached.cch_stats().unwrap().bucket_sweeps, 1);
-
-        // Plain cost misses route through the CCH query path.
-        assert_eq!(cached.cost(NodeId(2), NodeId(391)), bidir.cost(NodeId(2), NodeId(391)));
+        // Cost misses route through the CCH query path.
         assert!(cached.cch_stats().unwrap().p2p_queries > 0);
         // Paths still come from the canonical bidirectional engine.
         assert_eq!(cached.path(NodeId(2), NodeId(391)), bidir.path(NodeId(2), NodeId(391)));
 
         // Shift a region; both recustomizable backends agree bit-for-bit
-        // with fresh Dijkstra on the shifted graph — cost, prime, & path.
-        let spec = TrafficShiftSpec {
-            center: NodeId(200),
-            radius_m: 600.0,
-            factor: 2.0,
-            start_s: 0.0,
-            duration_s: 1.0,
-        };
-        let shifted = Arc::new(apply_traffic_shifts(&g, &[spec]).unwrap());
+        // with fresh Dijkstra on the shifted graph — cost & path.
+        let shifted = shift(&g, 200, 600.0, 2.0);
         assert_eq!(cached.recustomize(shifted.clone()), Some(1));
         assert_eq!(bidir.recustomize(shifted.clone()), None);
         assert_eq!(cached.graph().digest(), shifted.digest());
         let mut d = Dijkstra::new(&shifted);
         for &s in sources.iter().take(8) {
-            let want = d.cost(&shifted, s, target);
-            assert_eq!(cached.cost(s, target), want, "{s}");
-            assert_eq!(bidir.cost(s, target), want, "{s}");
-        }
-        assert!(cached.prime_many_to_one(&sources, NodeId(11)) > 0);
-        for &s in sources.iter().take(8) {
-            assert_eq!(cached.cost(s, NodeId(11)), d.cost(&shifted, s, NodeId(11)), "{s}");
+            let want = bits(d.cost(&shifted, s, target));
+            assert_eq!(bits(cached.cost(s, target)), want, "{s}");
+            assert_eq!(bits(bidir.cost(s, target)), want, "{s}");
         }
         let p = cached.path(NodeId(0), NodeId(399)).unwrap();
         assert_eq!(Some(p.cost_s), d.cost(&shifted, NodeId(0), NodeId(399)));
@@ -533,10 +730,10 @@ mod tests {
         let (g, c) = cache();
         let mut d = Dijkstra::new(&g);
         for src in 0..16u32 {
-            let want = d.cost(&g, NodeId(src), NodeId(399)).unwrap();
-            let got = c.cost(NodeId(src), NodeId(399)).unwrap();
-            assert!((got - want).abs() < 1e-2, "src={src}");
-            assert_eq!(c.cost(NodeId(src), NodeId(399)), Some(got));
+            let want = d.cost(&g, NodeId(src), NodeId(399));
+            let got = c.cost(NodeId(src), NodeId(399));
+            assert_eq!(bits(got), bits(want), "src={src}");
+            assert_eq!(bits(c.cost(NodeId(src), NodeId(399))), bits(got));
         }
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (16, 16));

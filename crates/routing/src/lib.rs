@@ -14,9 +14,11 @@
 //!   weights re-customize in milliseconds, with bucket many-to-one batch
 //!   queries, persistable as a CRC-framed artifact (see the [`cch`]
 //!   module docs);
-//! - [`PathCache`]: the memoizing oracle standing in for the paper's cached
-//!   all-pairs table, with a pluggable exact backend ([`RouterBackend`]:
-//!   bidirectional Dijkstra or the customizable hierarchy).
+//! - [`PathCache`]: the one cost cache standing in for the paper's cached
+//!   all-pairs table — refcounted pinned one-to-all vectors for active
+//!   request endpoints in front of a memo over a pluggable exact backend
+//!   ([`RouterBackend`]: bidirectional Dijkstra or the customizable
+//!   hierarchy).
 
 #![warn(missing_docs)]
 
@@ -25,15 +27,13 @@ pub mod cache;
 pub mod cch;
 pub mod dijkstra;
 pub mod masked;
-pub mod oracle;
 pub mod order;
 pub mod path;
 
 pub use bidirectional::BidirDijkstra;
-pub use cache::{CacheStats, PathCache, RouterBackend};
+pub use cache::{CacheStats, PathCache, PinnedReader, RouterBackend};
 pub use cch::{CchBuckets, CchMetric, CchQuery, CchStats, CustomizableCh};
 pub use dijkstra::{bellman_ford_cost, Dijkstra};
 pub use masked::{MaskedDijkstra, NodeMask};
-pub use oracle::{HotNodeOracle, OracleStats, PinnedReader};
 pub use order::NodeOrder;
 pub use path::Path;

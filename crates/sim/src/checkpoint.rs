@@ -15,7 +15,7 @@
 //!   the pending event queue, the disruption plan, money/metric
 //!   accumulators, the scheme's index snapshot and the obs aggregates.
 //!   Derived structures (route-node maps, offline watches, the path
-//!   cache, the hot-node oracle, the spatial grid) are rebuilt cold on
+//!   cache with its pinned vectors, the spatial grid) are rebuilt cold on
 //!   restore; costs are canonical so cold caches cannot change decisions.
 //! - `wal.mtwal`: one record per completed step — `step | kind | sim
 //!   time | state digest` — spanning the whole run. Recovery replays the
@@ -783,9 +783,9 @@ impl Simulator {
 
     /// Rebuilds every derived structure a snapshot deliberately omits:
     /// per-taxi route-node maps and the offline watch tables. (The path
-    /// cache, hot-node oracle and spatial grid restart cold — refcount
-    /// pins are advisory and costs are canonical, so cold lookups return
-    /// the same answers the warm run saw.)
+    /// cache with its pinned vectors and the spatial grid restart cold —
+    /// refcount pins are advisory and costs are canonical, so cold lookups
+    /// return the same answers the warm run saw.)
     fn rebuild_derived(&mut self) {
         for i in 0..self.taxis.len() {
             let map = &mut self.route_nodes[i];

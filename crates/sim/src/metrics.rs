@@ -71,7 +71,7 @@ pub struct SimReport {
     pub total_benefit: f64,
     /// Scheme-private index memory, bytes (Table IV).
     pub index_memory_bytes: usize,
-    /// Shared oracle + cache memory, bytes.
+    /// Shared path-cache memory (pinned vectors, memo, hierarchy), bytes.
     pub shared_memory_bytes: usize,
     /// Wall-clock of the whole run, seconds (Fig. 21a).
     pub wall_clock_s: f64,

@@ -19,7 +19,7 @@ use mtshare_model::{
 };
 use mtshare_obs::{Event, ExternalStats, Obs, RejectReason, RunInfo, Stage};
 use mtshare_road::{apply_traffic_shifts, NodeId, RoadNetwork, SpatialGrid, TrafficShiftSpec};
-use mtshare_routing::{HotNodeOracle, Path, PathCache};
+use mtshare_routing::{Path, PathCache};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -179,7 +179,6 @@ struct Episode {
 pub struct Simulator {
     graph: Arc<RoadNetwork>,
     cache: PathCache,
-    oracle: HotNodeOracle,
     taxis: Vec<Taxi>,
     requests: RequestStore,
     cfg: SimConfig,
@@ -286,7 +285,6 @@ impl Simulator {
         scenario: &Scenario,
         cfg: SimConfig,
     ) -> Self {
-        let oracle = HotNodeOracle::new(graph.clone());
         let spatial = SpatialGrid::build(&graph, 250.0);
         let n_taxis = scenario.taxis.len();
         let requests = scenario.request_store();
@@ -306,7 +304,6 @@ impl Simulator {
         Self {
             graph,
             cache,
-            oracle,
             taxis: scenario.taxis.clone(),
             requests,
             cfg,
@@ -383,7 +380,6 @@ impl Simulator {
         World {
             graph: &self.graph,
             cache: &self.cache,
-            oracle: &self.oracle,
             taxis: &self.taxis,
             requests: &self.requests,
         }
@@ -612,8 +608,7 @@ impl Simulator {
                 .expect("traffic shift preserves graph validity");
             Arc::new(g)
         };
-        self.cache.recustomize(shifted.clone());
-        self.oracle.retarget(shifted);
+        self.cache.recustomize(shifted);
         self.metric_shifts = active;
     }
 
@@ -725,18 +720,17 @@ impl Simulator {
     fn process_batch(&mut self, ids: &[RequestId], scheme: &mut dyn DispatchScheme) -> bool {
         let reqs: Vec<RideRequest> = ids.iter().map(|&id| self.requests.get(id).clone()).collect();
         // Pin every batch endpoint up front (infrastructure, untimed — as
-        // in `try_dispatch`). The oracle's bwd-first canonical lookup
-        // guarantees the extra pins cannot change any cost the sequential
-        // path would read.
+        // in `try_dispatch`). Pinned vectors and memoized searches return
+        // the same bits, so the extra pins cannot change any cost the
+        // sequential path would read.
         for r in &reqs {
-            self.oracle.pin(r.origin);
-            self.oracle.pin(r.destination);
+            self.cache.pin(r.origin);
+            self.cache.pin(r.destination);
         }
         let specs = {
             let world = World {
                 graph: &self.graph,
                 cache: &self.cache,
-                oracle: &self.oracle,
                 taxis: &self.taxis,
                 requests: &self.requests,
             };
@@ -746,8 +740,8 @@ impl Simulator {
             // Scheme has no speculative path: hand the first arrival to
             // the sequential route (which re-pins; pins are refcounted).
             for r in &reqs {
-                self.oracle.unpin(r.origin);
-                self.oracle.unpin(r.destination);
+                self.cache.unpin(r.origin);
+                self.cache.unpin(r.destination);
             }
             self.next_arrival += 1;
             self.process_arrival(ids[0], scheme);
@@ -762,8 +756,8 @@ impl Simulator {
                     // loop would process before this arrival: abandon the
                     // rest of the batch.
                     for r in &reqs[k..] {
-                        self.oracle.unpin(r.origin);
-                        self.oracle.unpin(r.destination);
+                        self.cache.unpin(r.origin);
+                        self.cache.unpin(r.destination);
                     }
                     break;
                 }
@@ -779,7 +773,6 @@ impl Simulator {
                 let world = World {
                     graph: &self.graph,
                     cache: &self.cache,
-                    oracle: &self.oracle,
                     taxis: &self.taxis,
                     requests: &self.requests,
                 };
@@ -802,8 +795,8 @@ impl Simulator {
             match outcome.assignment {
                 Some(a) => self.commit(req, a, now, scheme),
                 None => {
-                    self.oracle.unpin(req.origin);
-                    self.oracle.unpin(req.destination);
+                    self.cache.unpin(req.origin);
+                    self.cache.unpin(req.destination);
                     self.rejected += 1;
                     self.resolved[req.id.index()] = true;
                     self.emit_reject(req, now);
@@ -831,7 +824,6 @@ impl Simulator {
         let world = World {
             graph: &self.graph,
             cache: &self.cache,
-            oracle: &self.oracle,
             taxis: &self.taxis,
             requests: &self.requests,
         };
@@ -887,14 +879,13 @@ impl Simulator {
         // the shortest-path cache is already resident (Sec. V-A4), so the
         // per-request vector precomputation is infrastructure, not
         // matching latency. The exclusion applies uniformly to all schemes.
-        self.oracle.pin(req.origin);
-        self.oracle.pin(req.destination);
+        self.cache.pin(req.origin);
+        self.cache.pin(req.destination);
         let t0 = std::time::Instant::now();
         let out = {
             let world = World {
                 graph: &self.graph,
                 cache: &self.cache,
-                oracle: &self.oracle,
                 taxis: &self.taxis,
                 requests: &self.requests,
             };
@@ -919,8 +910,8 @@ impl Simulator {
                 true
             }
             None => {
-                self.oracle.unpin(req.origin);
-                self.oracle.unpin(req.destination);
+                self.cache.unpin(req.origin);
+                self.cache.unpin(req.destination);
                 if encountered_by.is_none() && account_reject {
                     self.rejected += 1;
                     self.resolved[req.id.index()] = true;
@@ -983,7 +974,6 @@ impl Simulator {
             let world = World {
                 graph: &self.graph,
                 cache: &self.cache,
-                oracle: &self.oracle,
                 taxis: &self.taxis,
                 requests: &self.requests,
             };
@@ -1156,8 +1146,8 @@ impl Simulator {
                     pickup_t: picked,
                     dropoff_t: t,
                 });
-                self.oracle.unpin(req.origin);
-                self.oracle.unpin(req.destination);
+                self.cache.unpin(req.origin);
+                self.cache.unpin(req.destination);
                 let taxi = &self.taxis[taxi_id.index()];
                 let ep = &mut self.episodes[taxi_id.index()];
                 ep.trips.push(PassengerTrip {
@@ -1182,7 +1172,6 @@ impl Simulator {
             let world = World {
                 graph: &self.graph,
                 cache: &self.cache,
-                oracle: &self.oracle,
                 taxis: &self.taxis,
                 requests: &self.requests,
             };
@@ -1278,7 +1267,6 @@ impl Simulator {
             let world = World {
                 graph: &self.graph,
                 cache: &self.cache,
-                oracle: &self.oracle,
                 taxis: &self.taxis,
                 requests: &self.requests,
             };
@@ -1305,8 +1293,8 @@ impl Simulator {
         // Balance the commit-time pins; each retry attempt re-pins.
         {
             let req = self.requests.get(request);
-            self.oracle.unpin(req.origin);
-            self.oracle.unpin(req.destination);
+            self.cache.unpin(req.origin);
+            self.cache.unpin(req.destination);
         }
         self.pickup_time.remove(&request);
         let direct = {
@@ -1365,8 +1353,8 @@ impl Simulator {
                     self.taxis[i].assigned.push(request);
                     return; // repair impossible; the committed plan stands
                 }
-                self.oracle.unpin(req.origin);
-                self.oracle.unpin(req.destination);
+                self.cache.unpin(req.origin);
+                self.cache.unpin(req.destination);
                 self.obs.emit(Event::Cancel { t, req: request.0, assigned: true });
                 self.reject_with(request, t, RejectReason::CancelledByPassenger);
             }
@@ -1508,7 +1496,6 @@ impl Simulator {
         let world = World {
             graph: &self.graph,
             cache: &self.cache,
-            oracle: &self.oracle,
             taxis: &self.taxis,
             requests: &self.requests,
         };
@@ -1566,7 +1553,6 @@ impl Simulator {
             let world = World {
                 graph: &self.graph,
                 cache: &self.cache,
-                oracle: &self.oracle,
                 taxis: &self.taxis,
                 requests: &self.requests,
             };
@@ -1629,15 +1615,14 @@ impl Simulator {
         // Pin every window endpoint before the solve (infrastructure,
         // untimed — the same contract as `try_dispatch`).
         for r in &reqs {
-            self.oracle.pin(r.origin);
-            self.oracle.pin(r.destination);
+            self.cache.pin(r.origin);
+            self.cache.pin(r.destination);
         }
         let t0 = std::time::Instant::now();
         let rows = {
             let world = World {
                 graph: &self.graph,
                 cache: &self.cache,
-                oracle: &self.oracle,
                 taxis: &self.taxis,
                 requests: &self.requests,
             };
@@ -1647,8 +1632,8 @@ impl Simulator {
             // Scheme has no batch-window path: dispatch the members
             // sequentially at the flush time (re-pins; pins refcount).
             for r in &reqs {
-                self.oracle.unpin(r.origin);
-                self.oracle.unpin(r.destination);
+                self.cache.unpin(r.origin);
+                self.cache.unpin(r.destination);
             }
             for r in &reqs {
                 self.try_dispatch(r, t, None, true, scheme);
@@ -1706,7 +1691,6 @@ impl Simulator {
                     let world = World {
                         graph: &self.graph,
                         cache: &self.cache,
-                        oracle: &self.oracle,
                         taxis: &self.taxis,
                         requests: &self.requests,
                     };
@@ -1721,8 +1705,8 @@ impl Simulator {
                 }
             });
             if !committed {
-                self.oracle.unpin(req.origin);
-                self.oracle.unpin(req.destination);
+                self.cache.unpin(req.origin);
+                self.cache.unpin(req.destination);
                 if attempt >= max_retries {
                     self.rejected += 1;
                     self.resolved[id.index()] = true;
@@ -1835,7 +1819,6 @@ impl Simulator {
                 parallelism: self.cfg.parallelism,
             });
             let cs = self.cache.stats();
-            let os = self.oracle.stats();
             let cch = self.cache.cch_stats().unwrap_or_default();
             let cch_fill_arcs =
                 self.cache.customizable().map(|h| h.fill_arc_count()).unwrap_or_default();
@@ -1843,12 +1826,9 @@ impl Simulator {
             self.obs.set_external_stats(ExternalStats {
                 cache_hits: cs.hits,
                 cache_misses: cs.misses,
-                cache_evictions: cs.evictions,
-                oracle_vector_hits: os.vector_hits,
-                oracle_memo_hits: os.memo_hits,
-                oracle_searches: os.searches,
-                oracle_pin_computes: os.pin_computes,
-                oracle_evictions: os.evictions,
+                pin_vector_hits: cs.vector_hits,
+                pin_computes: cs.pin_computes,
+                pin_evictions: cs.pin_evictions,
                 cch_p2p_queries: cch.p2p_queries,
                 cch_bucket_sweeps: cch.bucket_sweeps,
                 cch_bucket_sources: cch.bucket_sources,
@@ -1891,8 +1871,7 @@ impl Simulator {
             total_driver_income: self.driver_income,
             total_benefit: self.benefit,
             index_memory_bytes: scheme.index_memory_bytes(),
-            shared_memory_bytes: self.oracle.memory_bytes()
-                + self.cache.memory_bytes()
+            shared_memory_bytes: self.cache.memory_bytes()
                 + self.cache.customizable().map(|h| h.memory_bytes()).unwrap_or(0),
             wall_clock_s,
             served_records: self.served_records,

@@ -79,7 +79,7 @@ mod tests {
     use super::*;
     use mtshare_model::{RequestId, RequestStore, Taxi, TaxiId};
     use mtshare_road::{grid_city, EdgeSpec, GeoPoint, GridCityConfig, NodeId, RoadNetwork};
-    use mtshare_routing::{HotNodeOracle, PathCache};
+    use mtshare_routing::PathCache;
     use std::sync::Arc;
 
     fn req(origin: u32, destination: u32, direct: f64, slack: f64) -> RideRequest {
@@ -98,20 +98,18 @@ mod tests {
     fn world_over<'a>(
         graph: &'a Arc<RoadNetwork>,
         cache: &'a PathCache,
-        oracle: &'a HotNodeOracle,
         taxis: &'a [Taxi],
         requests: &'a RequestStore,
     ) -> World<'a> {
-        World { graph, cache, oracle, taxis, requests }
+        World { graph, cache, taxis, requests }
     }
 
     #[test]
     fn empty_fleet_wins_over_everything() {
         let g = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
         let cache = PathCache::new(g.clone());
-        let oracle = HotNodeOracle::new(g.clone());
         let requests = RequestStore::new();
-        let w = world_over(&g, &cache, &oracle, &[], &requests);
+        let w = world_over(&g, &cache, &[], &requests);
         // Even an outright infeasible request classifies as empty-fleet.
         let r = req(0, 399, f64::INFINITY, -1e9);
         assert_eq!(classify_rejection(&r, &w), RejectReason::EmptyFleet);
@@ -125,10 +123,9 @@ mod tests {
             vec![EdgeSpec { from: NodeId(0), to: NodeId(1), length_m: 10.0, speed_kmh: 15.0 }];
         let g = Arc::new(RoadNetwork::new(pts, &edges).unwrap());
         let cache = PathCache::new(g.clone());
-        let oracle = HotNodeOracle::new(g.clone());
         let taxis = vec![Taxi::new(TaxiId(0), 4, NodeId(0))];
         let requests = RequestStore::new();
-        let w = world_over(&g, &cache, &oracle, &taxis, &requests);
+        let w = world_over(&g, &cache, &taxis, &requests);
         let r = req(1, 0, f64::INFINITY, 1e9);
         assert_eq!(classify_rejection(&r, &w), RejectReason::UnreachableOd);
     }
@@ -137,10 +134,9 @@ mod tests {
     fn deadline_capacity_and_fallback_in_order() {
         let g = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
         let cache = PathCache::new(g.clone());
-        let oracle = HotNodeOracle::new(g.clone());
         let taxis = vec![Taxi::new(TaxiId(0), 2, NodeId(0))];
         let requests = RequestStore::new();
-        let w = world_over(&g, &cache, &oracle, &taxis, &requests);
+        let w = world_over(&g, &cache, &taxis, &requests);
         let direct = cache.cost(NodeId(0), NodeId(399)).unwrap();
 
         let late = req(0, 399, direct, -1.0);
@@ -158,11 +154,10 @@ mod tests {
     fn known_cause_short_circuits_classification() {
         let g = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
         let cache = PathCache::new(g.clone());
-        let oracle = HotNodeOracle::new(g.clone());
         let requests = RequestStore::new();
         // Empty fleet: the strongest structural reason — a known cause
         // must still win over it.
-        let w = world_over(&g, &cache, &oracle, &[], &requests);
+        let w = world_over(&g, &cache, &[], &requests);
         let r = req(0, 399, 100.0, -5.0);
         assert_eq!(
             classify_rejection_with_cause(&r, &w, Some(RejectCause::Cancelled)),

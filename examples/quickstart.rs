@@ -7,7 +7,7 @@ use mt_share::model::{
     DispatchScheme, RequestId, RequestStore, RideRequest, Taxi, TaxiId, TimedRoute, World,
 };
 use mt_share::road::{grid_city, GridCityConfig, NodeId};
-use mt_share::routing::{HotNodeOracle, PathCache};
+use mt_share::routing::PathCache;
 use mt_share::sim::{WorkloadConfig, WorkloadGenerator};
 use std::sync::Arc;
 
@@ -25,19 +25,12 @@ fn main() {
 
     // 3. A small fleet and the shared routing infrastructure.
     let cache = PathCache::new(graph.clone());
-    let oracle = HotNodeOracle::new(graph.clone());
     let mut taxis: Vec<Taxi> =
         (0..6).map(|i| Taxi::new(TaxiId(i), 4, NodeId(i * 61 % 400))).collect();
     let mut requests = RequestStore::new();
     let mut scheme = MtShare::new(&graph, ctx, MtShareConfig::default(), taxis.len());
     {
-        let world = World {
-            graph: &graph,
-            cache: &cache,
-            oracle: &oracle,
-            taxis: &taxis,
-            requests: &requests,
-        };
+        let world = World { graph: &graph, cache: &cache, taxis: &taxis, requests: &requests };
         scheme.install(&world);
     }
 
@@ -46,8 +39,8 @@ fn main() {
     for (k, (o, d)) in trips.iter().enumerate() {
         let now = k as f64 * 60.0;
         let direct = cache.cost(NodeId(*o), NodeId(*d)).expect("connected city");
-        oracle.pin(NodeId(*o));
-        oracle.pin(NodeId(*d));
+        cache.pin(NodeId(*o));
+        cache.pin(NodeId(*d));
         let req = RideRequest {
             id: RequestId(requests.len() as u32),
             release_time: now,
@@ -61,13 +54,7 @@ fn main() {
         requests.push(req.clone());
 
         let outcome = {
-            let world = World {
-                graph: &graph,
-                cache: &cache,
-                oracle: &oracle,
-                taxis: &taxis,
-                requests: &requests,
-            };
+            let world = World { graph: &graph, cache: &cache, taxis: &taxis, requests: &requests };
             scheme.dispatch(&req, now, &world)
         };
         match outcome.assignment {
@@ -88,13 +75,8 @@ fn main() {
                 let route = TimedRoute::build_on(&graph, pos, now, &a.legs, &a.schedule);
                 t.assigned.push(req.id);
                 t.set_plan(a.schedule, route, now);
-                let world = World {
-                    graph: &graph,
-                    cache: &cache,
-                    oracle: &oracle,
-                    taxis: &taxis,
-                    requests: &requests,
-                };
+                let world =
+                    World { graph: &graph, cache: &cache, taxis: &taxis, requests: &requests };
                 scheme.after_assign(&taxis[a.taxi.index()], &world);
             }
             None => println!("{}: rejected ({} candidates)", req.id, outcome.candidates_examined),

@@ -5,7 +5,7 @@
 //! umbrella crate re-exports the whole stack:
 //!
 //! - [`road`]: road-network substrate (graph, geometry, synthetic cities);
-//! - [`routing`]: shortest-path engines and shared cost oracles;
+//! - [`routing`]: shortest-path engines and the shared cost cache;
 //! - [`mobility`]: k-means, bipartite map partitioning, landmark graph,
 //!   mobility clustering;
 //! - [`model`]: requests, taxis, schedules, routes, fares, the

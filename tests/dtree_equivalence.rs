@@ -10,14 +10,13 @@ use mt_share::model::{
     ScheduleEngine, Taxi, TaxiId, World,
 };
 use mt_share::road::{grid_city, GridCityConfig, NodeId, RoadNetwork};
-use mt_share::routing::{HotNodeOracle, PathCache};
+use mt_share::routing::PathCache;
 use proptest::prelude::*;
 use std::sync::Arc;
 
 struct Fixture {
     graph: Arc<RoadNetwork>,
     cache: PathCache,
-    oracle: HotNodeOracle,
     requests: RequestStore,
 }
 
@@ -25,8 +24,7 @@ impl Fixture {
     fn new() -> Self {
         let graph = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
         let cache = PathCache::new(graph.clone());
-        let oracle = HotNodeOracle::new(graph.clone());
-        Self { graph, cache, oracle, requests: RequestStore::new() }
+        Self { graph, cache, requests: RequestStore::new() }
     }
 
     fn add_party(
@@ -53,13 +51,7 @@ impl Fixture {
     }
 
     fn world<'a>(&'a self, taxis: &'a [Taxi]) -> World<'a> {
-        World {
-            graph: &self.graph,
-            cache: &self.cache,
-            oracle: &self.oracle,
-            taxis,
-            requests: &self.requests,
-        }
+        World { graph: &self.graph, cache: &self.cache, taxis, requests: &self.requests }
     }
 }
 

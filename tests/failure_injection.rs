@@ -8,7 +8,7 @@ use mt_share::core::{MobilityContext, MtShare, MtShareConfig, PartitionStrategy}
 use mt_share::model::{DispatchScheme, RequestId, RequestStore, RideRequest, Taxi, TaxiId, World};
 use mt_share::obs::{schema, MemorySink, Obs, RejectReason};
 use mt_share::road::{grid_city, EdgeSpec, GeoPoint, GridCityConfig, NodeId, RoadNetwork};
-use mt_share::routing::{HotNodeOracle, PathCache};
+use mt_share::routing::PathCache;
 use mt_share::sim::{Scenario, ScenarioConfig, SimConfig, Simulator};
 use std::sync::Arc;
 
@@ -36,14 +36,12 @@ fn request(id: u32, origin: u32, dest: u32, direct: f64, deadline: f64) -> RideR
 fn unreachable_destination_is_rejected_not_panicked() {
     let graph = one_way_pair();
     let cache = PathCache::new(graph.clone());
-    let oracle = HotNodeOracle::new(graph.clone());
     let taxis = vec![Taxi::new(TaxiId(0), 4, NodeId(1))];
     let mut requests = RequestStore::new();
     // 1 -> 0 is unreachable.
     let req = request(0, 1, 0, f64::INFINITY, 1e12);
     requests.push(req.clone());
-    let world =
-        World { graph: &graph, cache: &cache, oracle: &oracle, taxis: &taxis, requests: &requests };
+    let world = World { graph: &graph, cache: &cache, taxis: &taxis, requests: &requests };
 
     let ctx = MobilityContext::build(&graph, &[], 1, 1, 0, PartitionStrategy::Grid);
     let mut schemes: Vec<Box<dyn DispatchScheme>> = vec![
@@ -63,14 +61,12 @@ fn unreachable_destination_is_rejected_not_panicked() {
 fn empty_fleet_rejects_everything() {
     let graph = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
     let cache = PathCache::new(graph.clone());
-    let oracle = HotNodeOracle::new(graph.clone());
     let taxis: Vec<Taxi> = Vec::new();
     let mut requests = RequestStore::new();
     let direct = cache.cost(NodeId(0), NodeId(399)).unwrap();
     let req = request(0, 0, 399, direct, direct * 10.0);
     requests.push(req.clone());
-    let world =
-        World { graph: &graph, cache: &cache, oracle: &oracle, taxis: &taxis, requests: &requests };
+    let world = World { graph: &graph, cache: &cache, taxis: &taxis, requests: &requests };
 
     let ctx = MobilityContext::build(&graph, &[], 4, 2, 0, PartitionStrategy::Grid);
     let mut schemes: Vec<Box<dyn DispatchScheme>> = vec![
@@ -91,15 +87,13 @@ fn empty_fleet_rejects_everything() {
 fn zero_deadline_slack_is_infeasible_from_afar() {
     let graph = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
     let cache = PathCache::new(graph.clone());
-    let oracle = HotNodeOracle::new(graph.clone());
     // Taxi at the far corner; the deadline leaves zero pickup budget.
     let taxis = vec![Taxi::new(TaxiId(0), 4, NodeId(399))];
     let mut requests = RequestStore::new();
     let direct = cache.cost(NodeId(0), NodeId(20)).unwrap();
     let req = request(0, 0, 20, direct, direct); // deadline == release + direct
     requests.push(req.clone());
-    let world =
-        World { graph: &graph, cache: &cache, oracle: &oracle, taxis: &taxis, requests: &requests };
+    let world = World { graph: &graph, cache: &cache, taxis: &taxis, requests: &requests };
     let ctx = MobilityContext::build(&graph, &[], 4, 2, 0, PartitionStrategy::Grid);
     let mut mt = MtShare::new(&graph, ctx, MtShareConfig::default(), 1);
     mt.install(&world);
@@ -110,14 +104,12 @@ fn zero_deadline_slack_is_infeasible_from_afar() {
 fn zero_capacity_taxi_never_assigned() {
     let graph = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
     let cache = PathCache::new(graph.clone());
-    let oracle = HotNodeOracle::new(graph.clone());
     let taxis = vec![Taxi::new(TaxiId(0), 0, NodeId(1))];
     let mut requests = RequestStore::new();
     let direct = cache.cost(NodeId(0), NodeId(399)).unwrap();
     let req = request(0, 0, 399, direct, direct * 3.0);
     requests.push(req.clone());
-    let world =
-        World { graph: &graph, cache: &cache, oracle: &oracle, taxis: &taxis, requests: &requests };
+    let world = World { graph: &graph, cache: &cache, taxis: &taxis, requests: &requests };
     let ctx = MobilityContext::build(&graph, &[], 4, 2, 0, PartitionStrategy::Grid);
     let mut schemes: Vec<Box<dyn DispatchScheme>> = vec![
         Box::new(TShare::new(&graph, 1)),
@@ -321,16 +313,14 @@ fn single_partition_context_still_dispatches() {
     // work (filter returns the single partition).
     let graph = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
     let cache = PathCache::new(graph.clone());
-    let oracle = HotNodeOracle::new(graph.clone());
     let taxis = vec![Taxi::new(TaxiId(0), 4, NodeId(20))];
     let mut requests = RequestStore::new();
     let direct = cache.cost(NodeId(21), NodeId(200)).unwrap();
-    oracle.pin(NodeId(21));
-    oracle.pin(NodeId(200));
+    cache.pin(NodeId(21));
+    cache.pin(NodeId(200));
     let req = request(0, 21, 200, direct, direct * 2.0);
     requests.push(req.clone());
-    let world =
-        World { graph: &graph, cache: &cache, oracle: &oracle, taxis: &taxis, requests: &requests };
+    let world = World { graph: &graph, cache: &cache, taxis: &taxis, requests: &requests };
     let ctx = MobilityContext::build(&graph, &[], 1, 1, 0, PartitionStrategy::Grid);
     assert_eq!(ctx.kappa(), 1);
     let mut mt = MtShare::new(&graph, ctx, MtShareConfig::default(), 1);

@@ -5,8 +5,8 @@
 use mt_share::mobility::{grid_partition, LandmarkGraph};
 use mt_share::road::{grid_city, GridCityConfig, NodeId, RoadNetwork};
 use mt_share::routing::{
-    bellman_ford_cost, BidirDijkstra, CchQuery, CustomizableCh, Dijkstra, HotNodeOracle,
-    MaskedDijkstra, NodeMask, PathCache,
+    bellman_ford_cost, BidirDijkstra, CchQuery, CustomizableCh, Dijkstra, MaskedDijkstra, NodeMask,
+    PathCache, RouterBackend,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -58,23 +58,28 @@ proptest! {
         seed in 0u64..4,
         s in 0u32..144,
         t in 0u32..144,
-        pin_src in proptest::bool::ANY,
     ) {
+        // Unpinned pair (memo + backend), pinned source (forward vector)
+        // and pinned target (backward vector) all return Dijkstra's exact
+        // bits, under both backends.
         let g = city(seed);
+        let (s, t) = (NodeId(s), NodeId(t));
         let mut d = Dijkstra::new(&g);
-        let want = d.cost(&g, NodeId(s), NodeId(t)).unwrap();
-
-        let cache = PathCache::new(g.clone());
-        prop_assert!((cache.cost(NodeId(s), NodeId(t)).unwrap() - want).abs() < 1e-2);
-        // Second query must return the identical memoized value.
-        prop_assert_eq!(
-            cache.cost(NodeId(s), NodeId(t)).unwrap(),
-            cache.cost(NodeId(s), NodeId(t)).unwrap()
-        );
-
-        let oracle = HotNodeOracle::new(g);
-        if pin_src { oracle.pin(NodeId(s)); } else { oracle.pin(NodeId(t)); }
-        prop_assert!((oracle.cost(NodeId(s), NodeId(t)).unwrap() - want).abs() < 1e-2);
+        let want = d.cost(&g, s, t).map(f64::to_bits);
+        let cch = Arc::new(CustomizableCh::build(&g));
+        for backend in [RouterBackend::Bidir, RouterBackend::Cch(cch)] {
+            let name = backend.name();
+            let cache = PathCache::with_backend(g.clone(), backend);
+            let bits = |cache: &PathCache| cache.cost(s, t).map(f64::to_bits);
+            prop_assert_eq!(bits(&cache), want, "{} unpinned", name);
+            // Second query must return the identical memoized value.
+            prop_assert_eq!(bits(&cache), want, "{} memoized", name);
+            cache.pin(s);
+            prop_assert_eq!(bits(&cache), want, "{} pinned source", name);
+            cache.unpin(s);
+            cache.pin(t);
+            prop_assert_eq!(bits(&cache), want, "{} pinned target", name);
+        }
     }
 
     #[test]
